@@ -40,16 +40,8 @@ from .slc import (
     k_slc_from_mst,
     verify_per_edge_guarantee,
 )
-from .unitstep import (
-    ComponentState,
-    UnitStepOutput,
-    approx_closest_cross_pair,
-    build_covering,
-    unit_step,
-)
+from .unitstep import unit_step
 from .hamming import (
-    AuxiliaryGraph,
-    MaskProjection,
     build_auxiliary_graph,
     hamming_k_slc,
     hamming_mst,

@@ -42,6 +42,19 @@ class Metric(Enum):
         raise InputError(f"unknown metric {name!r}; expected one of l0, l1, l2, linf")
 
 
+def _reduce(a, b, metric: Metric, axis: int):
+    """Distances between broadcast rows of a and b along `axis`; L0 counts
+    coordinates that differ under exact equality."""
+    if metric is Metric.L0:
+        return np.count_nonzero(a != b, axis=axis).astype(np.float64)
+    d = a - b
+    if metric is Metric.L1:
+        return np.sum(np.abs(d), axis=axis)
+    if metric is Metric.L2:
+        return np.sqrt(np.sum(d * d, axis=axis))
+    return np.max(np.abs(d), axis=axis)
+
+
 def distance(u, v, metric: Metric) -> float:
     """Exact distance between two equal-dimension vectors under the metric.
 
@@ -52,38 +65,56 @@ def distance(u, v, metric: Metric) -> float:
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if metric is Metric.L0:
-        return float(np.count_nonzero(a != b))
-    d = a - b
-    if metric is Metric.L1:
-        return float(np.sum(np.abs(d)))
-    if metric is Metric.L2:
-        return float(np.sqrt(np.sum(d * d)))
-    return float(np.max(np.abs(d))) if d.size else 0.0
+    return float(_reduce(a, b, metric, -1)) if a.size else 0.0
 
 
-def distances_from(points: np.ndarray, q: np.ndarray, metric: Metric) -> np.ndarray:
-    """Vectorized distances from every row of `points` to the single point `q`."""
-    if metric is Metric.L0:
-        return np.count_nonzero(points != q, axis=1).astype(np.float64)
-    d = points - q
-    if metric is Metric.L1:
-        return np.sum(np.abs(d), axis=1)
-    if metric is Metric.L2:
-        return np.sqrt(np.sum(d * d, axis=1))
-    return np.max(np.abs(d), axis=1)
+def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric) -> np.ndarray:
+    """Distances between rows pts[u[k]] and pts[v[k]] for every k."""
+    return _reduce(pts[u], pts[v], metric, 1)
 
 
 def distance_matrix(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
-    """Dense |a| x |b| distance matrix; quadratic memory, desk scale only."""
-    if metric is Metric.L0:
-        return np.count_nonzero(a[:, None, :] != b[None, :, :], axis=2).astype(np.float64)
-    d = a[:, None, :] - b[None, :, :]
-    if metric is Metric.L1:
-        return np.sum(np.abs(d), axis=2)
-    if metric is Metric.L2:
-        return np.sqrt(np.sum(d * d, axis=2))
-    return np.max(np.abs(d), axis=2)
+    """Dense |a| x |b| distance matrix; memory grows as |a| * |b| * d."""
+    return _reduce(a[:, None, :], b[None, :, :], metric, 2)
+
+
+class UnionFind:
+    """Disjoint sets over integer ids, created on first use.
+
+    Finds compress paths, and a union keeps the smaller of the two roots,
+    so every root is the minimum id of its set.
+    """
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        root = p.get(x, x)
+        if root == x:
+            return x
+        up = p.get(root, root)
+        while up != root:
+            root, up = up, p.get(up, up)
+        while x != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False when they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        lo, hi = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[hi] = lo
+        return True
+
+    def relabel(self, labels: np.ndarray) -> np.ndarray:
+        """Each label replaced by the root of its set."""
+        uniq, inv = np.unique(labels, return_inverse=True)
+        roots = np.fromiter((self.find(int(v)) for v in uniq), dtype=np.int64,
+                            count=len(uniq))
+        return roots[inv]
 
 
 @dataclass(frozen=True)

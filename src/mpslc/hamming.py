@@ -11,11 +11,9 @@ Duplicate points link at weight zero through the all-ones mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import InputError, Metric, PointSet
+from .core import InputError, Metric, PointSet, UnionFind
 from .mpc import (
     MpcConfig,
     SpanningTree,
@@ -27,35 +25,6 @@ from .mpc import (
 from .slc import Clustering, k_slc_from_mst
 
 MAX_DIM = 20
-
-
-@dataclass(frozen=True)
-class MaskProjection:
-    """One coordinate subset: selected columns and the weight its links get."""
-
-    mask: int
-    dim: int
-
-    @property
-    def columns(self) -> tuple:
-        return tuple(j for j in range(self.dim) if (self.mask >> j) & 1)
-
-    @property
-    def weight_if_linked(self) -> int:
-        return self.dim - len(self.columns)
-
-
-@dataclass(frozen=True)
-class AuxiliaryGraph:
-    """Mask-derived edges with integer weights (0 only between duplicates)."""
-
-    n_vertices: int
-    edges: tuple
-
-    def __post_init__(self):
-        for _u, _v, w in self.edges:
-            if not (0 <= w <= MAX_DIM and w == int(w)):
-                raise InputError("auxiliary weights must be small integers")
 
 
 def _validated_int_points(ps: PointSet) -> np.ndarray:
@@ -70,48 +39,25 @@ def _validated_int_points(ps: PointSet) -> np.ndarray:
 
 
 def build_auxiliary_graph(ps: PointSet, cfg: MpcConfig):
-    """All mask-projected sort links, one distributed sort per mask in parallel."""
+    """All mask-projected sort links, one distributed sort per mask in parallel.
+
+    Returns the links as a WeightedEdgeList (the lightest weight per pair)
+    and the merged trace of the sorts.
+    """
     pts = _validated_int_points(ps)
     n, d = pts.shape
     raw = []
     traces = []
     for mask in range(1 << d):
-        proj = MaskProjection(mask=mask, dim=d)
-        cols = proj.columns
-        items = [(tuple(int(c) for c in pts[i, cols]) , i) for i in range(n)]
+        cols = [j for j in range(d) if (mask >> j) & 1]
+        weight = d - len(cols)
+        items = list(zip(map(tuple, pts[:, cols].tolist()), range(n)))
         ordered, tr = distributed_sort(items, cfg)
         traces.append(tr)
         for a, b in zip(ordered, ordered[1:]):
             if a[0] == b[0]:
-                raw.append((a[1], b[1], proj.weight_if_linked))
-    best = {}
-    for u, v, w in raw:
-        key = (u, v) if u < v else (v, u)
-        if key not in best or w < best[key]:
-            best[key] = w
-    edges = tuple((u, v, best[(u, v)]) for u, v in sorted(best))
-    return AuxiliaryGraph(n_vertices=n, edges=edges), merge_parallel(traces)
-
-
-class _Forest:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
-        return True
+                raw.append((a[1], b[1], weight))
+    return WeightedEdgeList.build(n, raw), merge_parallel(traces)
 
 
 def hamming_mst(ps: PointSet, cfg: MpcConfig):
@@ -127,7 +73,7 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
         live = [(u, v) for u, v in cand if labels[u] != labels[v]]
         if not live:
             continue
-        uf = _Forest()
+        uf = UnionFind()
         for u, v in live:
             if uf.union(int(labels[u]), int(labels[v])):
                 tree.append((u, v, float(t)))
@@ -158,8 +104,7 @@ def hamming_mst_2d(ps: PointSet, cfg: MpcConfig):
         return 0, 1
     links = []
     for axes in ((0, 1), (1, 0)):
-        items = [((int(uniq[i, axes[0]]), int(uniq[i, axes[1]])), i)
-                 for i in range(n)]
+        items = list(zip(map(tuple, uniq[:, axes].tolist()), range(n)))
         ordered, _tr = distributed_sort(items, cfg)
         for a, b in zip(ordered, ordered[1:]):
             if a[0][0] == b[0][0]:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import CapacityError, InputError
+from .core import CapacityError, InputError, UnionFind
 
 
 class MpcContractError(RuntimeError):
@@ -32,22 +32,18 @@ class MpcConfig:
     """Per-machine word budget and machine count cap."""
 
     space_s: int
-    alpha_exp: float = 0.25
     max_machines: int | None = None
 
     def __post_init__(self):
         if self.space_s < 16:
             raise InputError("space_s must be at least 16 words")
-        if not 0.0 < self.alpha_exp < 0.5:
-            raise InputError("alpha_exp must lie in (0, 0.5)")
         if self.max_machines is not None and self.max_machines < 1:
             raise InputError("max_machines must be >= 1 when bounded")
 
     @classmethod
-    def auto(cls, n_points: int, dim: int, headroom: float = 4.0) -> "MpcConfig":
+    def auto(cls, n_points: int, dim: int) -> "MpcConfig":
         """Budget wide enough that a whole-input job fits in s/3 words."""
-        need = int(headroom * max(1, n_points) * (dim + 2))
-        return cls(space_s=max(1024, need))
+        return cls(space_s=max(1024, 4 * max(1, n_points) * (dim + 2)))
 
 
 @dataclass
@@ -80,11 +76,7 @@ class MpcTrace:
         """Sequential composition; the added rounds get fresh segment ids."""
         offset = 1 + max((r.segment for r in self.per_round), default=-1)
         for r in other.per_round:
-            self.per_round.append(
-                RoundStats(r.machines_used, r.max_words_on_any_machine,
-                           r.total_messages_words, r.input_words, r.kind,
-                           r.segment + offset)
-            )
+            self.per_round.append(replace(r, segment=r.segment + offset))
 
     def segments(self):
         """Rounds grouped by (segment, kind), in first-appearance order."""
@@ -94,14 +86,9 @@ class MpcTrace:
         return groups
 
     def to_json_lines(self) -> str:
-        lines = []
-        for i, r in enumerate(self.per_round):
-            lines.append(json.dumps({
-                "round": i,
-                "machines": r.machines_used,
-                "max_words": r.max_words_on_any_machine,
-                "msg_words": r.total_messages_words,
-            }, sort_keys=True))
+        """One JSON object per round: its index and every RoundStats field."""
+        lines = [json.dumps({"round": i, **asdict(r)}, sort_keys=True)
+                 for i, r in enumerate(self.per_round)]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -182,21 +169,12 @@ class SpanningTree:
     edges: tuple
 
     def __post_init__(self):
-        parent = list(range(self.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind()
         norm = []
         for u, v, w in self.edges:
             u, v = (int(u), int(v)) if u < v else (int(v), int(u))
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            if not uf.union(u, v):
                 raise InputError(f"edge ({u},{v}) closes a cycle")
-            parent[ru] = rv
             norm.append((u, v, float(w)))
         norm.sort(key=lambda e: (e[2], e[0], e[1]))
         object.__setattr__(self, "edges", tuple(norm))
@@ -255,14 +233,24 @@ def run_level(jobs, cfg: MpcConfig):
     return outputs, stats
 
 
-def _boruvka_phases(n, eu, ev, ew, cfg, kind):
-    """Shared Boruvka engine: per-phase minimum cross edges under the total
-    order (weight, u, v), merged until components stabilize.
+def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
+    """Boruvka phases over g: per phase every component takes its minimum
+    cross edge under the total order (weight, u, v), merged until no cross
+    edge is left. Connectivity runs the same phases on zero weights and
+    gathers a label per vertex instead of the tree.
 
-    Returns (tree edges, final labels array, list of per-phase RoundStats).
+    Returns (tree edges, labels as minimum member ids, trace).
     """
+    weighted = kind == "boruvka"
     s = cfg.space_s
-    m = len(eu)
+    n = g.n_vertices
+    m = len(g.edges)
+    eu = np.asarray([e[0] for e in g.edges], dtype=np.int64)
+    ev = np.asarray([e[1] for e in g.edges], dtype=np.int64)
+    if weighted:
+        ew = np.asarray([e[2] for e in g.edges], dtype=np.float64)
+    else:
+        ew = np.zeros(m, dtype=np.float64)
     order = np.lexsort((ev, eu, ew))
     eu, ev, ew = eu[order], ev[order], ew[order]
     chunk_edges = max(1, s // 5)
@@ -270,18 +258,10 @@ def _boruvka_phases(n, eu, ev, ew, cfg, kind):
     chunk_words = 5 * min(m, chunk_edges) if m else 0
 
     labels = np.arange(n, dtype=np.int64)
-    parent: dict = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
+    uf = UnionFind()
     tree = []
-    stats = []
+    rounds = [RoundStats(machines_used=n_chunks, max_words_on_any_machine=chunk_words,
+                         total_messages_words=3 * m, input_words=3 * m, kind=kind)]
     guard = math.ceil(math.log2(max(2, n))) + 2
     for _ in range(guard):
         cu = labels[eu]
@@ -297,42 +277,36 @@ def _boruvka_phases(n, eu, ev, ew, cfg, kind):
         cand_rows = np.unique(row_col[first])
         merged = 0
         for k in cand_rows:
-            a = find(int(labels[eu[k]]))
-            b = find(int(labels[ev[k]]))
-            if a != b:
-                lo, hi = (a, b) if a < b else (b, a)
-                parent[hi] = lo
+            if uf.union(int(labels[eu[k]]), int(labels[ev[k]])):
                 tree.append((int(eu[k]), int(ev[k]), float(ew[k])))
                 merged += 1
-        uniq, inv = np.unique(labels, return_inverse=True)
-        labels = np.fromiter((find(int(x)) for x in uniq), dtype=np.int64,
-                             count=len(uniq))[inv]
+        labels = uf.relabel(labels)
         cand_words = 3 * len(cand_rows)
-        stats.append(RoundStats(machines_used=n_chunks,
-                                max_words_on_any_machine=chunk_words,
-                                total_messages_words=cand_words,
-                                input_words=5 * m, kind=kind))
+        rounds.append(RoundStats(machines_used=n_chunks,
+                                 max_words_on_any_machine=chunk_words,
+                                 total_messages_words=cand_words,
+                                 input_words=5 * m, kind=kind))
         merge_machines = max(1, math.ceil(cand_words / max(1, s // 3)))
-        stats.append(RoundStats(machines_used=merge_machines,
-                                max_words_on_any_machine=min(cand_words, s // 3) if cand_words else 0,
-                                total_messages_words=2 * n,
-                                input_words=cand_words, kind=kind))
+        rounds.append(RoundStats(machines_used=merge_machines,
+                                 max_words_on_any_machine=min(cand_words, s // 3) if cand_words else 0,
+                                 total_messages_words=2 * n,
+                                 input_words=cand_words, kind=kind))
         if merged == 0:
             break
     if np.any(labels[eu] != labels[ev]):
         raise MpcContractError("merging phases exhausted with components left")
-    return tree, labels, stats
-
-
-def _scatter_gather(trace_rounds, n_chunks, chunk_words, msg_words, out_words, cfg, kind):
-    s = cfg.space_s
-    head = RoundStats(machines_used=n_chunks, max_words_on_any_machine=chunk_words,
-                      total_messages_words=msg_words, input_words=msg_words, kind=kind)
-    gather_machines = max(1, math.ceil(out_words / max(1, s // 3)))
-    tail = RoundStats(machines_used=gather_machines,
-                      max_words_on_any_machine=min(out_words, s // 3) if out_words else 0,
-                      total_messages_words=out_words, input_words=out_words, kind=kind)
-    return [head] + trace_rounds + [tail]
+    out_words = 3 * len(tree) if weighted else n
+    rounds.append(RoundStats(machines_used=max(1, math.ceil(out_words / max(1, s // 3))),
+                             max_words_on_any_machine=min(out_words, s // 3) if out_words else 0,
+                             total_messages_words=out_words, input_words=out_words,
+                             kind=kind))
+    trace = MpcTrace(per_round=rounds)
+    if trace.rounds > round_bound(n):
+        raise MpcContractError(f"{kind} used {trace.rounds} rounds on {n} vertices")
+    if trace.max_words() > s:
+        raise MpcContractError(f"{kind} exceeded the per-machine space budget")
+    _check_machine_cap(trace, cfg)
+    return tree, labels, trace
 
 
 def boruvka_mst(g: WeightedEdgeList, cfg: MpcConfig):
@@ -340,49 +314,13 @@ def boruvka_mst(g: WeightedEdgeList, cfg: MpcConfig):
 
     Ties break by (weight, u, v), making the output edge set unique.
     """
-    n = g.n_vertices
-    m = len(g.edges)
-    eu = np.asarray([e[0] for e in g.edges], dtype=np.int64)
-    ev = np.asarray([e[1] for e in g.edges], dtype=np.int64)
-    ew = np.asarray([e[2] for e in g.edges], dtype=np.float64)
-    tree, _labels, phase_stats = _boruvka_phases(n, eu, ev, ew, cfg, "boruvka")
-    s = cfg.space_s
-    chunk_edges = max(1, s // 5)
-    n_chunks = max(1, math.ceil(m / chunk_edges)) if m else 1
-    chunk_words = 5 * min(m, chunk_edges) if m else 0
-    rounds = _scatter_gather(phase_stats, n_chunks, chunk_words, 3 * m,
-                             3 * len(tree), cfg, "boruvka")
-    trace = MpcTrace(per_round=rounds)
-    if trace.rounds > round_bound(n):
-        raise MpcContractError(f"boruvka used {trace.rounds} rounds on {n} vertices")
-    if trace.max_words() > s:
-        raise MpcContractError("boruvka exceeded the per-machine space budget")
-    _check_machine_cap(trace, cfg)
-    return SpanningTree(n_vertices=n, edges=tuple(tree)), trace
+    tree, _labels, trace = _boruvka(g, cfg, "boruvka")
+    return SpanningTree(n_vertices=g.n_vertices, edges=tuple(tree)), trace
 
 
 def connected_components(g: WeightedEdgeList, cfg: MpcConfig):
     """Component labels (minimum member id) in at most 2*ceil(log2 n)+2 rounds."""
-    n = g.n_vertices
-    m = len(g.edges)
-    eu = np.asarray([e[0] for e in g.edges], dtype=np.int64)
-    ev = np.asarray([e[1] for e in g.edges], dtype=np.int64)
-    ew = np.zeros(m, dtype=np.float64)
-    _tree, labels, phase_stats = _boruvka_phases(n, eu, ev, ew, cfg, "connectivity")
-    s = cfg.space_s
-    chunk_edges = max(1, s // 5)
-    n_chunks = max(1, math.ceil(m / chunk_edges)) if m else 1
-    chunk_words = 5 * min(m, chunk_edges) if m else 0
-    rounds = _scatter_gather(phase_stats, n_chunks, chunk_words, 3 * m, n, cfg,
-                             "connectivity")
-    trace = MpcTrace(per_round=rounds)
-    if trace.rounds > round_bound(n):
-        raise MpcContractError(
-            f"connectivity used {trace.rounds} rounds on {n} vertices"
-        )
-    if trace.max_words() > s:
-        raise MpcContractError("connectivity exceeded the per-machine space budget")
-    _check_machine_cap(trace, cfg)
+    _tree, labels, trace = _boruvka(g, cfg, "connectivity")
     return labels, trace
 
 

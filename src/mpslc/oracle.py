@@ -82,7 +82,7 @@ def exact_mst(ps: PointSet) -> SpanningTree:
     return SpanningTree(n_vertices=n, edges=tuple(edges))
 
 
-class _Forest:
+class _DisjointSets:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
@@ -106,7 +106,7 @@ def kruskal_edges(n_vertices: int, edges) -> list:
     ordered = sorted(
         ((float(w), min(int(u), int(v)), max(int(u), int(v))) for u, v, w in edges)
     )
-    uf = _Forest(n_vertices)
+    uf = _DisjointSets(n_vertices)
     out = []
     for w, u, v in ordered:
         if uf.union(u, v):
@@ -170,10 +170,11 @@ def exhaustive_slc(ps: PointSet, k: int) -> float:
     return best
 
 
-def brute_closest_cross_pair(state, ps: PointSet):
-    """Exact closest cross-component pair (u, v, tau), or None if <2 components."""
-    reps = sorted(int(r) for r in state.reps)
-    labels = [state.comp_of[r] for r in reps]
+def brute_closest_cross_pair(comp_of: dict, ps: PointSet):
+    """Exact closest pair of points `comp_of` ({point id: component label})
+    places in different components, as (u, v, tau); None if <2 components."""
+    reps = sorted(int(r) for r in comp_of)
+    labels = [comp_of[r] for r in reps]
     if len(set(labels)) < 2:
         return None
     best = None

@@ -22,6 +22,7 @@ from .core import (
     InputError,
     PointSet,
     Seed,
+    UnionFind,
     UnsupportedMetricError,
     Metric,
     derive_seed,
@@ -43,7 +44,7 @@ from .partition import (
     level_diameter,
     sample_partition,
 )
-from .unitstep import _unit_step_arrays
+from .unitstep import unit_step
 
 
 def derive_eps(eta: float, levels: int, b: float, c1: float, c2: float) -> float:
@@ -77,6 +78,10 @@ class SlcParams:
                           self.c1, self.c2)
         if not math.isclose(self.eps, want, rel_tol=1e-12):
             raise InputError("eps inconsistent with eta, levels, b_cut, c1, c2")
+        if not 0.0 < self.eps < 1.0:
+            raise InputError(
+                f"eps = {self.eps:.6g} must lie in (0, 1): c1 = {self.c1:g} and "
+                f"c2 = {self.c2:g} are too small for eta = {self.eta:g}")
 
     @classmethod
     def for_point_set(
@@ -90,12 +95,11 @@ class SlcParams:
         levels: int | None = None,
         c1: float = 1.0,
         c2: float = 1.0,
-        rep_multiplier: float = 1.0,
     ) -> "SlcParams":
         part = PartitionParams.for_point_set(ps, alpha_grid=alpha_grid, levels=levels)
         eps = derive_eps(eta, part.levels, part.b_cut, c1, c2)
         if repetitions is None:
-            repetitions = max(1, math.ceil(rep_multiplier * math.log2(max(2, ps.n))))
+            repetitions = max(1, math.ceil(math.log2(max(2, ps.n))))
         if mpc is None:
             mpc = MpcConfig.auto(ps.n, ps.dim)
         return cls(eta=eta, repetitions=int(repetitions), c1=c1, c2=c2, eps=eps,
@@ -149,7 +153,7 @@ def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) 
             rep_ids = reps[members]
             sub_labels = labels[members]
             jobs.append((len(rep_ids) * (d + 2),
-                         partial(_unit_step_arrays, rep_ids, sub_labels,
+                         partial(unit_step, rep_ids, sub_labels,
                                  level_diam, params.eps, ps)))
         outputs, stats = run_level(jobs, params.mpc)
         trace.append(stats)
@@ -217,22 +221,12 @@ def k_slc_from_mst(tree: SpanningTree, k: int, ps: PointSet) -> Clustering:
     edges = list(tree.edges)
     keep, removed = edges[: n - k], edges[n - k:]
     objective = math.inf if k == 1 else float(removed[0][2])
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind()
     for u, v, _w in keep:
-        parent[find(u)] = find(v)
-    roots = [find(i) for i in range(n)]
-    relabel = {}
-    for r in roots:
-        if r not in relabel:
-            relabel[r] = len(relabel)
-    labels = np.asarray([relabel[r] for r in roots], dtype=np.int64)
+        uf.union(u, v)
+    # roots are minimum member ids, so their ranks number the clusters in
+    # order of first appearance
+    _, labels = np.unique(uf.relabel(np.arange(n)), return_inverse=True)
     return Clustering(k=k, labels=labels, objective=objective)
 
 

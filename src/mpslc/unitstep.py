@@ -9,62 +9,33 @@ order. A cell whose merging is finished is summarized by an
 eps^2 * level_diam covering of its points plus the induced component
 labels on the covering.
 
-Closest pairs are found exactly: by a full distance matrix below
-BRUTE_CAP points and by bucket-grid accelerated Boruvka phases above it.
-Exact pairs trivially satisfy the (1+eps)-approximate contract the
-caller relies on.
+Closest pairs are found exactly: from all pair distances, computed in
+row blocks of bounded memory, up to BRUTE_CAP points or above
+GRID_MAX_DIM dimensions, and by bucket-grid accelerated Boruvka phases
+otherwise. Exact pairs trivially satisfy the (1+eps)-approximate
+contract the caller relies on.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    InputError,
     Metric,
     PointSet,
+    UnionFind,
     UnsupportedMetricError,
     distance_matrix,
-    distances_from,
+    pair_distances,
 )
 
 BRUTE_CAP = 256
 GRID_MAX_DIM = 6
-
-
-@dataclass
-class ComponentState:
-    """Surviving representative points and their component labels."""
-
-    reps: list
-    comp_of: dict
-
-    def __post_init__(self):
-        self.reps = [int(r) for r in self.reps]
-        self.comp_of = {int(k): int(v) for k, v in self.comp_of.items()}
-        for r in self.reps:
-            if r not in self.comp_of:
-                raise InputError(f"representative {r} has no component label")
-
-    @classmethod
-    def singletons(cls, indices) -> "ComponentState":
-        idx = [int(i) for i in indices]
-        return cls(reps=idx, comp_of={i: i for i in idx})
-
-    @property
-    def num_components(self) -> int:
-        return len({self.comp_of[r] for r in self.reps})
-
-
-@dataclass
-class UnitStepOutput:
-    covering: list
-    induced: ComponentState
-    tree_edges: list = field(default_factory=list)
+# float64 values in one (rows x m x d) block of the brute engine: 16 MB
+_BLOCK_VALUES = 1 << 21
 
 
 def _covering_step(radius: float, dim: int, metric: Metric) -> float:
@@ -78,89 +49,29 @@ def _covering_step(radius: float, dim: int, metric: Metric) -> float:
     raise UnsupportedMetricError("coverings are defined for L1, L2 and LINF only")
 
 
-def _covering_sorted(idx: list, radius: float, ps: PointSet) -> list:
-    """Covering representatives for an ascending id list (lowest id per cell)."""
-    if len(idx) <= 1:
-        return list(idx)
-    step = _covering_step(radius, ps.dim, ps.metric)
-    if math.isinf(step):
-        return [idx[0]]
-    coords = np.floor(ps.points[idx] / step).astype(np.int64)
+def _covering(rep_ids: np.ndarray, radius: float, ps: PointSet) -> list:
+    """Covering of ascending reps: the lowest id per key. The key is the
+    floored grid coordinates at a pitch whose cells have diameter at most
+    `radius`, or the exact coordinates when the radius is 0."""
+    if radius > 0:
+        step = _covering_step(radius, ps.dim, ps.metric)
+        if math.isinf(step):
+            return [int(rep_ids[0])]
+        keys = np.floor(ps.points[rep_ids] / step).astype(np.int64)
+    else:
+        keys = ps.points[rep_ids]
     seen = {}
-    for pos, i in enumerate(idx):
-        key = coords[pos].tobytes()
-        if key not in seen:
-            seen[key] = int(i)
+    for i, key in zip(rep_ids, keys):
+        seen.setdefault(key.tobytes(), int(i))
     return sorted(seen.values())
-
-
-def build_covering(pts, radius: float, ps: PointSet) -> list:
-    """Subset of `pts` whose radius-balls cover all of `pts`.
-
-    One representative per cell of a grid with metric-adjusted step, the
-    lowest point index in the cell.
-    """
-    if not radius > 0:
-        raise InputError("covering radius must be positive")
-    return _covering_sorted(sorted(int(i) for i in pts), radius, ps)
-
-
-def _dedupe_exact(idx, ps: PointSet) -> list:
-    """Zero-radius covering: lowest index per exact coordinate tuple."""
-    seen = {}
-    for i in idx:
-        key = ps.points[i].tobytes()
-        if key not in seen:
-            seen[key] = int(i)
-    return sorted(seen.values())
-
-
-class _LabelUnion:
-    """Union-find over component label values, keeping the minimum label."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
-        return True
-
-
-def _relabel(labels: np.ndarray, uf: _LabelUnion) -> np.ndarray:
-    uniq, inv = np.unique(labels, return_inverse=True)
-    mapped = np.fromiter((uf.find(int(v)) for v in uniq), dtype=np.int64, count=len(uniq))
-    return mapped[inv]
-
-
-def _pair_dists(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric) -> np.ndarray:
-    if metric is Metric.L0:
-        return np.count_nonzero(pts[u] != pts[v], axis=1).astype(np.float64)
-    d = pts[u] - pts[v]
-    if metric is Metric.L1:
-        return np.sum(np.abs(d), axis=1)
-    if metric is Metric.L2:
-        return np.sqrt(np.sum(d * d, axis=1))
-    return np.max(np.abs(d), axis=1)
 
 
 def _msf_brute(pts, labels, threshold, metric):
-    """Exact merge sequence from the full (or chunked) pair list."""
-    m = len(labels)
+    """Exact merge sequence from the full pair list, whose distances are
+    computed in row blocks of at most _BLOCK_VALUES coordinate differences."""
+    m, d = pts.shape
     pair_u, pair_v, w = [], [], []
-    chunk = 2048 if m > 2048 else m
+    chunk = max(1, min(m, _BLOCK_VALUES // (m * d)))
     for row0 in range(0, m, chunk):
         row1 = min(m, row0 + chunk)
         block = distance_matrix(pts[row0:row1], pts, metric)
@@ -179,21 +90,15 @@ def _msf_brute(pts, labels, threshold, metric):
     pair_v = np.concatenate(pair_v) if pair_v else np.empty(0, dtype=np.int64)
     w = np.concatenate(w) if w else np.empty(0)
     order = np.lexsort((pair_v, pair_u, w))
-    uf = _LabelUnion()
+    uf = UnionFind()
     edges = []
-    labels_now = labels.copy()
-    merged = 0
     want = len(np.unique(labels)) - 1
     for k in order:
-        a = uf.find(int(labels[pair_u[k]]))
-        b = uf.find(int(labels[pair_v[k]]))
-        if a != b:
-            uf.union(a, b)
+        if uf.union(int(labels[pair_u[k]]), int(labels[pair_v[k]])):
             edges.append((float(w[k]), int(pair_u[k]), int(pair_v[k])))
-            merged += 1
-            if merged == want:
+            if len(edges) == want:
                 break
-    return edges, _relabel(labels_now, uf)
+    return edges, uf.relabel(labels)
 
 
 def _pack_keys(cells: np.ndarray, mult: int, pad: int) -> np.ndarray:
@@ -280,7 +185,7 @@ class _GridIndex:
         v = self.members[self.starts[nb_arr][g] + iv]
         keep = u != v
         u, v = u[keep], v[keep]
-        w = _pair_dists(self.pts, u, v, self.metric)
+        w = pair_distances(self.pts, u, v, self.metric)
         if math.isfinite(threshold):
             ok = w <= threshold
             u, v, w = u[ok], v[ok], w[ok]
@@ -360,7 +265,7 @@ def _expand_pending(grid, labels_now, open_labels, best, bound):
             cross = labels_now[u] != labels_now[v]
             u, v = u[cross], v[cross]
         if len(u):
-            w = _pair_dists(grid.pts, u, v, grid.metric)
+            w = pair_distances(grid.pts, u, v, grid.metric)
             ok = w <= bound
             _best_per_comp(labels_now, u[ok], v[ok], w[ok], best)
         pending = [c for c in pending if r * grid.pitch <= limit_of(c)]
@@ -373,7 +278,7 @@ def _msf_grid(pts, labels, threshold, metric):
     """Exact merge sequence via Boruvka phases on a bucket grid."""
     grid = _GridIndex(pts, metric)
     pair_u, pair_v, pair_w = grid.neighborhood_pairs(threshold)
-    uf = _LabelUnion()
+    uf = UnionFind()
     labels_now = labels.copy()
     closed_pt = np.zeros(len(labels), dtype=bool)
     edges = []
@@ -408,15 +313,12 @@ def _msf_grid(pts, labels, threshold, metric):
             break
         merged_any = False
         for w, lo, hi in sorted(set(candidates)):
-            a = uf.find(int(labels_now[lo]))
-            b = uf.find(int(labels_now[hi]))
-            if a != b:
-                uf.union(a, b)
+            if uf.union(int(labels_now[lo]), int(labels_now[hi])):
                 edges.append((w, lo, hi))
                 merged_any = True
         if not merged_any:
             break
-        labels_now = _relabel(labels_now, uf)
+        labels_now = uf.relabel(labels_now)
     return edges, labels_now
 
 
@@ -432,15 +334,10 @@ def _msf_within(pts, labels, threshold, metric):
     if float((pts.max(axis=0) - pts.min(axis=0)).max()) == 0.0:
         if threshold < 0:
             return [], labels.copy()
-        uf = _LabelUnion()
-        edges = []
-        for v in range(1, m):
-            a = uf.find(int(labels[0]))
-            b = uf.find(int(labels[v]))
-            if a != b:
-                uf.union(a, b)
-                edges.append((0.0, 0, v))
-        return edges, _relabel(labels, uf)
+        uf = UnionFind()
+        edges = [(0.0, 0, v) for v in range(1, m)
+                 if uf.union(int(labels[0]), int(labels[v]))]
+        return edges, uf.relabel(labels)
     if m <= BRUTE_CAP or pts.shape[1] > GRID_MAX_DIM:
         edges, out = _msf_brute(pts, labels, threshold, metric)
     else:
@@ -449,9 +346,16 @@ def _msf_within(pts, labels, threshold, metric):
     return edges, out
 
 
-def _unit_step_arrays(rep_ids: np.ndarray, labels: np.ndarray, level_diam: float,
-                      eps: float, ps: PointSet):
-    """Array-level unit step; reps must be sorted ascending.
+def unit_step(rep_ids: np.ndarray, labels: np.ndarray, level_diam: float,
+              eps: float, ps: PointSet):
+    """One cell's merge pass: emit cross edges up to eps * level_diam, then
+    summarize with an eps^2 * level_diam covering and its induced labels.
+
+    `rep_ids` are the cell's surviving points in ascending order and
+    `labels` their component labels. An infinite level_diam removes the
+    threshold so merging runs until a single component remains (used at
+    the root cell). eps = 0 degenerates to exact closest-pair merging and
+    an exact-duplicate covering.
 
     Returns (covering ids, covering labels, tree edges on global ids).
     """
@@ -462,62 +366,7 @@ def _unit_step_arrays(rep_ids: np.ndarray, labels: np.ndarray, level_diam: float
     edges_local, merged = _msf_within(pts, labels, threshold, ps.metric)
     edges = [(int(rep_ids[lo]), int(rep_ids[hi]), w) for (w, lo, hi) in edges_local]
     radius = math.inf if math.isinf(level_diam) else eps * eps * level_diam
-    if radius > 0:
-        cover = _covering_sorted(rep_ids, radius, ps)
-    else:
-        cover = _dedupe_exact(rep_ids, ps)
+    cover = _covering(rep_ids, radius, ps)
     pos = {int(r): k for k, r in enumerate(rep_ids)}
     cover_labels = np.asarray([merged[pos[c]] for c in cover], dtype=np.int64)
     return cover, cover_labels, edges
-
-
-def unit_step(state: ComponentState, level_diam: float, eps: float, ps: PointSet) -> UnitStepOutput:
-    """One cell's merge pass: emit cross edges up to eps * level_diam, then
-    summarize with an eps^2 * level_diam covering and its induced labels.
-
-    An infinite level_diam removes the threshold so merging runs until a
-    single component remains (used at the root cell). eps = 0 degenerates
-    to exact closest-pair merging and an exact-duplicate covering.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise InputError("eps must lie in [0, 1)")
-    if not (level_diam > 0):
-        raise InputError("level_diam must be positive")
-    rep_ids = np.asarray(sorted(state.reps), dtype=np.int64)
-    labels = np.asarray([state.comp_of[int(r)] for r in rep_ids], dtype=np.int64)
-    cover, cover_labels, edges = _unit_step_arrays(rep_ids, labels, level_diam, eps, ps)
-    induced = ComponentState(
-        reps=list(cover),
-        comp_of={int(c): int(l) for c, l in zip(cover, cover_labels)},
-    )
-    return UnitStepOutput(covering=list(cover), induced=induced, tree_edges=edges)
-
-
-def approx_closest_cross_pair(state: ComponentState, eps: float, ps: PointSet):
-    """A cross-component pair within (1+eps) of the closest such distance.
-
-    The search is exact, which satisfies the contract for every eps >= 0;
-    returns None when fewer than two components exist.
-    """
-    if eps < 0:
-        raise InputError("eps must be nonnegative")
-    if state.num_components < 2:
-        return None
-    rep_ids = np.asarray(sorted(state.reps), dtype=np.int64)
-    labels = np.asarray([state.comp_of[int(r)] for r in rep_ids], dtype=np.int64)
-    pts = ps.points[rep_ids]
-    best = None
-    for k in range(len(rep_ids)):
-        w = distances_from(pts, pts[k], ps.metric)
-        w[labels == labels[k]] = np.inf
-        j = int(np.argmin(w))
-        if not math.isfinite(w[j]):
-            continue
-        for t in np.flatnonzero(w == w[j]):
-            key = (float(w[j]), min(k, int(t)), max(k, int(t)))
-            if _better(key, best):
-                best = key
-    if best is None:
-        return None
-    w, lo, hi = best
-    return int(rep_ids[lo]), int(rep_ids[hi]), w

@@ -170,7 +170,8 @@ def test_cli_trace_dump(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines
     first = json.loads(lines[0])
-    assert set(first) == {"round", "machines", "max_words", "msg_words"}
+    assert set(first) == {"round", "machines_used", "max_words_on_any_machine",
+                          "total_messages_words", "input_words", "kind", "segment"}
 
 
 def test_cli_gen_hardness_round_trip(tmp_path):

@@ -214,8 +214,10 @@ def test_trace_json_lines_schema():
     assert len(lines) == trace.rounds
     for i, line in enumerate(lines):
         obj = json.loads(line)
-        assert set(obj) == {"round", "machines", "max_words", "msg_words"}
+        assert set(obj) == {"round", "machines_used", "max_words_on_any_machine",
+                            "total_messages_words", "input_words", "kind", "segment"}
         assert obj["round"] == i
+        assert obj["kind"] == trace.per_round[i].kind == "boruvka"
 
 
 def test_merge_parallel_overlays():
@@ -234,5 +236,3 @@ def test_merge_parallel_overlays():
 def test_mpc_config_validation():
     with pytest.raises(InputError):
         MpcConfig(space_s=3)
-    with pytest.raises(InputError):
-        MpcConfig(space_s=64, alpha_exp=0.7)

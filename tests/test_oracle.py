@@ -10,7 +10,6 @@ from mpslc.oracle import (
     exhaustive_slc,
     kruskal_points_mst,
 )
-from mpslc.unitstep import ComponentState
 from mpslc.slc import k_slc_from_mst
 
 from conftest import FLOAT_METRICS, uniform_points
@@ -81,23 +80,20 @@ def test_exhaustive_k1_undefined():
 
 def test_brute_pair_two_singletons():
     ps = PointSet(points=np.array([[0.0], [3.0]]), metric=Metric.L2)
-    state = ComponentState.singletons([0, 1])
-    assert brute_closest_cross_pair(state, ps) == (0, 1, 3.0)
+    assert brute_closest_cross_pair({0: 0, 1: 1}, ps) == (0, 1, 3.0)
 
 
 def test_brute_pair_is_minimum():
     ps = uniform_points(100, 2, seed=21)
-    state = ComponentState(reps=list(range(100)),
-                           comp_of={i: i % 3 for i in range(100)})
-    u, v, tau = brute_closest_cross_pair(state, ps)
+    comp_of = {i: i % 3 for i in range(100)}
+    u, v, tau = brute_closest_cross_pair(comp_of, ps)
     pts = ps.points
     for a in range(100):
         for b in range(a + 1, 100):
-            if state.comp_of[a] != state.comp_of[b]:
+            if comp_of[a] != comp_of[b]:
                 assert tau <= np.sqrt(((pts[a] - pts[b]) ** 2).sum()) + 1e-12
 
 
 def test_brute_pair_single_component():
     ps = uniform_points(5, 2, seed=22)
-    state = ComponentState(reps=list(range(5)), comp_of={i: 0 for i in range(5)})
-    assert brute_closest_cross_pair(state, ps) is None
+    assert brute_closest_cross_pair({i: 0 for i in range(5)}, ps) is None

@@ -188,3 +188,13 @@ def test_verify_full_pipeline_small():
     tree, _ = approximate_mst(ps, params)
     report = verify_per_edge_guarantee(tree, exact_mst(ps), 0.5)
     assert report.ok
+
+
+def test_slc_params_rejects_eps_outside_unit_interval():
+    # constants this small used to give eps = 2.78 and 9.26 silently
+    ps = uniform_points(600, 3, seed=50)
+    for c in (0.001, 0.0003):
+        with pytest.raises(InputError, match="c1 .* c2"):
+            SlcParams.for_point_set(ps, 0.5, Seed(1), c1=c, c2=c)
+    params = SlcParams.for_point_set(ps, 0.5, Seed(1), c1=0.003, c2=0.003)
+    assert 0.0 < params.eps < 1.0
