@@ -40,7 +40,7 @@ from .slc import (
     k_slc_from_mst,
     verify_per_edge_guarantee,
 )
-from .unitstep import unit_step
+from .unitstep import level_step
 from .hamming import (
     build_auxiliary_graph,
     hamming_k_slc,

@@ -73,11 +73,6 @@ def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric
     return _reduce(pts[u], pts[v], metric, 1)
 
 
-def distance_matrix(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
-    """Dense |a| x |b| distance matrix; memory grows as |a| * |b| * d."""
-    return _reduce(a[:, None, :], b[None, :, :], metric, 2)
-
-
 class UnionFind:
     """Disjoint sets over integer ids, created on first use.
 

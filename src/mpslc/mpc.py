@@ -9,7 +9,9 @@ len(key) + 1 words.
 Job packing follows the rule that a new machine starts only when no
 existing machine has at least 2s/3 space available, which caps stored
 inputs at 2s/3 per machine and leaves s/3 of working space, and uses at
-most 3S/s + 1 machines for S total input words.
+most 3S/s + 1 machines for S total input words. A level round is
+accounted from its per-cell job sizes alone: the merge pass over all
+cells runs in `unitstep`, outside this module.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -190,47 +193,47 @@ class SpanningTree:
         return float(sum(w for _, _, w in self.edges))
 
 
-def run_level(jobs, cfg: MpcConfig):
-    """Pack and execute one synchronous round of independent jobs.
+def run_level(sizes, cfg: MpcConfig) -> RoundStats:
+    """Account one synchronous round of independent per-cell jobs.
 
-    `jobs` is a list of (input_words, callable); a job whose working space
-    exceeds s/3 is rejected. Returns (outputs in job order, RoundStats).
+    `sizes` holds each job's input words, in job order; the caller runs
+    the jobs itself. Packing is greedy in that order: a machine takes jobs
+    until it holds more than s/3 words, then the next machine opens. A job
+    whose working space exceeds s/3 is rejected, as is a packing beyond
+    the machine cap or beyond 3S/s + 1 machines for S total words.
     """
     s = cfg.space_s
     cap = s // 3
-    used: list[int] = []
-    peak_job: list[int] = []
-    assignment = []
-    first_open = 0
-    for i, (size, _job) in enumerate(jobs):
-        size = int(size)
-        if size > cap:
-            raise CapacityError(
-                f"job {i} needs {size} words of working space, budget allows {cap}"
-            )
-        while first_open < len(used) and used[first_open] > cap:
-            first_open += 1
-        if first_open == len(used):
-            if cfg.max_machines is not None and len(used) + 1 > cfg.max_machines:
-                raise CapacityError(
-                    f"packing needs more than {cfg.max_machines} machines"
-                )
-            used.append(0)
-            peak_job.append(0)
-        used[first_open] += size
-        peak_job[first_open] = max(peak_job[first_open], size)
-        assignment.append(first_open)
-    total = sum(int(size) for size, _ in jobs)
-    machines = len(used)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    over = np.flatnonzero(sizes > cap)
+    if len(over):
+        i = int(over[0])
+        raise CapacityError(
+            f"job {i} needs {int(sizes[i])} words of working space, budget allows {cap}"
+        )
+    cum = np.cumsum(sizes)
+    starts = []
+    start = 0
+    while start < len(sizes):
+        starts.append(start)
+        base = int(cum[start - 1]) if start else 0
+        # the first job that lifts this machine above cap is its last
+        start = int(np.searchsorted(cum, base + cap, side="right")) + 1
+    machines = len(starts)
+    if cfg.max_machines is not None and machines > cfg.max_machines:
+        raise CapacityError(f"packing needs more than {cfg.max_machines} machines")
+    total = int(cum[-1]) if len(cum) else 0
     if machines > 3 * total / s + 1:
         raise MpcContractError(
             f"greedy packing used {machines} machines for {total} words"
         )
-    outputs = [job() for _, job in jobs]
-    max_words = max((u + p for u, p in zip(used, peak_job)), default=0)
-    stats = RoundStats(machines_used=machines, max_words_on_any_machine=max_words,
-                       total_messages_words=total, input_words=total, kind="level")
-    return outputs, stats
+    max_words = 0
+    if machines:
+        ends = np.asarray(starts[1:] + [len(sizes)])
+        loads = cum[ends - 1] - np.concatenate(([0], cum[ends[:-1] - 1]))
+        max_words = int((loads + np.maximum.reduceat(sizes, starts)).max())
+    return RoundStats(machines_used=machines, max_words_on_any_machine=max_words,
+                      total_messages_words=total, input_words=total, kind="level")
 
 
 def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
@@ -324,23 +327,18 @@ def connected_components(g: WeightedEdgeList, cfg: MpcConfig):
     return labels, trace
 
 
-def _item_words(item) -> int:
-    key = item[0]
-    return (len(key) if isinstance(key, (tuple, list)) else 1) + 1
-
-
 def distributed_sort(items, cfg: MpcConfig):
     """Stable sort by key in exactly 4 rounds (sample, split, exchange, gather)."""
     s = cfg.space_s
-    words = [_item_words(it) for it in items]
-    total = sum(words)
+    keys = map(itemgetter(0), items)
+    total = len(items) + sum(len(k) if isinstance(k, (tuple, list)) else 1 for k in keys)
     m_machines = max(1, math.ceil(total / max(1, s // 3)))
     if cfg.max_machines is not None:
         m_machines = min(m_machines, cfg.max_machines)
     chunk = math.ceil(total / m_machines) if total else 0
     if chunk > s:
         raise CapacityError("sort input does not fit the machine budget")
-    result = sorted(items, key=lambda it: it[0])
+    result = sorted(items, key=itemgetter(0))
     splitter_words = max(0, m_machines - 1) * 2
     rounds = [
         RoundStats(m_machines, chunk, total, total, "sort"),

@@ -1,12 +1,13 @@
-"""Pipeline orchestration: repeated partitions feed per-cell merge steps,
+"""Pipeline orchestration: repeated partitions feed level-wide merge passes,
 their union of tree edges is finished by exact Boruvka, and clusterings
 come from deleting the longest tree edges.
 
-Every repetition samples a fresh random shift, runs the merge step level
-by level through the simulated runtime, and contributes one forest; the
-root cell runs unbounded so each forest spans. Edge weights are true
-metric distances between endpoints, which makes the per-index comparison
-against an exact tree sound.
+Every repetition samples a fresh random shift and contributes one forest.
+Level by level it groups the surviving points by cell, accounts the
+level's round from the per-cell sizes (`run_level`) and runs one merge
+pass over all cells (`level_step`); the root cell runs unbounded so each
+forest spans. Edge weights are true metric distances between endpoints,
+which makes the per-index comparison against an exact tree sound.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .core import (
+    CapacityError,
     InputError,
     PointSet,
     Seed,
@@ -44,7 +45,7 @@ from .partition import (
     level_diameter,
     sample_partition,
 )
-from .unitstep import unit_step
+from .unitstep import level_step
 
 
 def derive_eps(eta: float, levels: int, b: float, c1: float, c2: float) -> float:
@@ -143,30 +144,20 @@ def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) 
             level_diam = level_diameter(params.partition, level,
                                         params.partition.bbox_side)
         coords = coords_at_level(part, base[reps], level)
-        _, inv = np.unique(coords, axis=0, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        counts = np.bincount(inv)
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        jobs = []
-        for g in range(len(counts)):
-            members = order[starts[g]: starts[g + 1]]
-            rep_ids = reps[members]
-            sub_labels = labels[members]
-            jobs.append((len(rep_ids) * (d + 2),
-                         partial(unit_step, rep_ids, sub_labels,
-                                 level_diam, params.eps, ps)))
-        outputs, stats = run_level(jobs, params.mpc)
+        cell_coords, cells = np.unique(coords, axis=0, return_inverse=True)
+        sizes = np.bincount(cells) * (d + 2)
+        try:
+            stats = run_level(sizes, params.mpc)
+        except CapacityError as exc:
+            where = "root" if level == levels else f"level {level}"
+            over = np.flatnonzero(sizes > params.mpc.space_s // 3)
+            if len(over):
+                where += f", cell {tuple(cell_coords[over[0]].tolist())}"
+            raise CapacityError(f"repetition {rep}, {where}: {exc}") from exc
         trace.append(stats)
-        next_reps = []
-        next_labels = []
-        for cover, cover_labels, edges in outputs:
-            forest.extend(edges)
-            next_reps.append(np.asarray(cover, dtype=np.int64))
-            next_labels.append(cover_labels)
-        reps = np.concatenate(next_reps)
-        labels = np.concatenate(next_labels)
-        resort = np.argsort(reps)
-        reps, labels = reps[resort], labels[resort]
+        reps, labels, edges = level_step(reps, labels, cells, level_diam,
+                                         params.eps, ps)
+        forest.extend(edges)
     if len(np.unique(labels)) != 1:
         raise MpcContractError("repetition finished with a disconnected forest")
     return forest

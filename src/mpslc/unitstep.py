@@ -1,19 +1,23 @@
-"""Per-cell merging of components via closest cross pairs up to a threshold.
+"""One level's merge pass over all of its cells, and the root's exact engine.
 
-The merge loop repeatedly takes the closest pair of points lying in two
-different components, emits it as a tree edge while its distance stays
-under eps * level_diam, and merges the two components. The emitted edge
-sequence therefore equals Kruskal's restricted to cross-component pairs
-not longer than the threshold, in nondecreasing (weight, min id, max id)
-order. A cell whose merging is finished is summarized by an
-eps^2 * level_diam covering of its points plus the induced component
-labels on the covering.
+Within a cell, merging repeatedly takes the closest pair of points lying
+in two different components, emits it as a tree edge while its distance
+stays under eps * level_diam, and merges the two components. The emitted
+edges therefore equal Kruskal's over the cell's cross-component pairs not
+longer than the threshold, in (weight, min id, max id) order. Cells nest
+and components only grow inside cells, so no component spans two cells
+of a level, and one Kruskal over the pairs of every cell, on one
+union-find, yields each cell's edges at once. A finished cell is
+summarized by an eps^2 * level_diam covering of its points plus the
+induced component labels on the covering.
 
-Closest pairs are found exactly: from all pair distances, computed in
-row blocks of bounded memory, up to BRUTE_CAP points or above
-GRID_MAX_DIM dimensions, and by bucket-grid accelerated Boruvka phases
-otherwise. Exact pairs trivially satisfy the (1+eps)-approximate
-contract the caller relies on.
+Candidate pairs are built in blocks of bounded memory: every pair of a
+cell, or, where the threshold is below the cell side in at most
+GRID_MAX_DIM dimensions, only pairs in neighbouring buckets of pitch at
+least twice the threshold. The root cell runs unbounded: from all of its
+pairs up to BRUTE_CAP points or above GRID_MAX_DIM dimensions, and by
+bucket-grid accelerated Boruvka phases otherwise. Both are exact, which
+trivially satisfies the (1+eps)-approximate contract the caller relies on.
 """
 
 from __future__ import annotations
@@ -24,18 +28,19 @@ import math
 import numpy as np
 
 from .core import (
+    InputError,
     Metric,
     PointSet,
     UnionFind,
     UnsupportedMetricError,
-    distance_matrix,
     pair_distances,
 )
 
 BRUTE_CAP = 256
 GRID_MAX_DIM = 6
-# float64 values in one (rows x m x d) block of the brute engine: 16 MB
-_BLOCK_VALUES = 1 << 21
+# float64 values in one (pairs x d) block of gathered coordinates: 8 MB;
+# a block's distances hold four such arrays at once
+_BLOCK_VALUES = 1 << 20
 
 
 def _covering_step(radius: float, dim: int, metric: Metric) -> float:
@@ -49,56 +54,171 @@ def _covering_step(radius: float, dim: int, metric: Metric) -> float:
     raise UnsupportedMetricError("coverings are defined for L1, L2 and LINF only")
 
 
-def _covering(rep_ids: np.ndarray, radius: float, ps: PointSet) -> list:
-    """Covering of ascending reps: the lowest id per key. The key is the
-    floored grid coordinates at a pitch whose cells have diameter at most
-    `radius`, or the exact coordinates when the radius is 0."""
-    if radius > 0:
-        step = _covering_step(radius, ps.dim, ps.metric)
-        if math.isinf(step):
-            return [int(rep_ids[0])]
-        keys = np.floor(ps.points[rep_ids] / step).astype(np.int64)
+def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric) -> np.ndarray:
+    """Positions of the covering, ascending: the lowest position per cell
+    and key. The key is the floored grid coordinates at a pitch whose
+    cells have diameter at most `radius`, the exact coordinates when the
+    radius is 0, and nothing when it is infinite."""
+    if math.isinf(radius):
+        keys = cells[:, None]
+    elif radius > 0:
+        step = _covering_step(radius, pts.shape[1], metric)
+        keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
     else:
-        keys = ps.points[rep_ids]
-    seen = {}
-    for i, key in zip(rep_ids, keys):
-        seen.setdefault(key.tobytes(), int(i))
-    return sorted(seen.values())
+        # bit patterns: equal keys are equal coordinates
+        keys = np.column_stack((cells, pts.view(np.int64)))
+    # lexsort is stable, so each run of equal keys starts at its lowest position
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return np.sort(order[first])
 
 
-def _msf_brute(pts, labels, threshold, metric):
-    """Exact merge sequence from the full pair list, whose distances are
-    computed in row blocks of at most _BLOCK_VALUES coordinate differences."""
-    m, d = pts.shape
-    pair_u, pair_v, w = [], [], []
-    chunk = max(1, min(m, _BLOCK_VALUES // (m * d)))
-    for row0 in range(0, m, chunk):
-        row1 = min(m, row0 + chunk)
-        block = distance_matrix(pts[row0:row1], pts, metric)
-        bu = np.repeat(np.arange(row0, row1), m)
-        bv = np.tile(np.arange(m), row1 - row0)
-        bw = block.ravel()
-        keep = bu < bv
-        bu, bv, bw = bu[keep], bv[keep], bw[keep]
-        if math.isfinite(threshold):
-            ok = bw <= threshold
-            bu, bv, bw = bu[ok], bv[ok], bw[ok]
-        pair_u.append(bu)
-        pair_v.append(bv)
-        w.append(bw)
-    pair_u = np.concatenate(pair_u) if pair_u else np.empty(0, dtype=np.int64)
-    pair_v = np.concatenate(pair_v) if pair_v else np.empty(0, dtype=np.int64)
-    w = np.concatenate(w) if w else np.empty(0)
-    order = np.lexsort((pair_v, pair_u, w))
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0 .. c-1 for every count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _buckets(pts, cells, threshold, side):
+    """Bucket key per position and the key offsets of the neighbouring
+    buckets that can hold a pair within `threshold`.
+
+    Unless buckets of pitch 2 * threshold (or 2^-20 of the cell side, if
+    larger) are narrower than the cell side in at most GRID_MAX_DIM
+    dimensions, the bucket is the cell and the only offset 0. Otherwise
+    the key packs the cell with the floored offset from the cell's lowest
+    point, and the offsets are 0 and half of the other 3^d neighbours, so
+    every bucket pair comes up once. A pitch
+    of twice the threshold keeps every pair within it in neighbouring
+    buckets despite rounding.
+    """
+    n_cells = int(cells.max()) + 1
+    d = pts.shape[1]
+    # at most 2^20 buckets across a cell keep the floored offsets in range
+    pitch = max(2.0 * threshold, side / 2 ** 20)
+    if d > GRID_MAX_DIM or not 0 < pitch < side:
+        return cells, [0]
+    lo = np.full((n_cells, d), np.inf)
+    np.minimum.at(lo, cells, pts)
+    rel = pts - lo[cells]
+    while True:
+        local = np.floor(rel / pitch).astype(np.int64)
+        mult = int(local.max()) + 3
+        if n_cells * mult ** d < 2 ** 62:
+            break
+        pitch *= 2.0
+    keys = cells.astype(np.int64)
+    for j in range(d):
+        keys = keys * mult + (local[:, j] + 1)
+    weights = mult ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    offsets = [0]
+    for off in itertools.product((-1, 0, 1), repeat=d):
+        first = next((c for c in off if c), 0)
+        if first > 0:
+            offsets.append(int(np.dot(off, weights)))
+    return keys, offsets
+
+
+def _bucket_pairs(members, starts, counts, a, b, max_pairs):
+    """Pairs of positions from buckets a[k] and b[k], in blocks of about
+    max_pairs. With a is None, each unordered pair inside every bucket."""
+    if a is None:
+        rows = np.arange(len(members))
+        first = rows + 1
+        width = np.repeat(starts + counts, counts) - first
+    else:
+        rows = np.repeat(starts[a], counts[a]) + _ranks(counts[a])
+        first = np.repeat(starts[b], counts[a])
+        width = np.repeat(counts[b], counts[a])
+    cum = np.cumsum(width)
+    lo = 0
+    while lo < len(rows):
+        base = int(cum[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + max_pairs, side="right")))
+        w = width[lo:hi]
+        g = np.repeat(np.arange(hi - lo), w)
+        yield members[rows[lo:hi][g]], members[first[lo:hi][g] + _ranks(w)]
+        lo = hi
+
+
+def _cross_pairs(pts, labels, cells, threshold, side, metric):
+    """Blocks of position pairs lo < hi in one cell and in two components,
+    at most `threshold` apart, with their distances."""
+    keys, offsets = _buckets(pts, cells, threshold, side)
+    bucket_keys, inv = np.unique(keys, return_inverse=True)
+    members = np.argsort(inv, kind="stable")
+    counts = np.bincount(inv)
+    starts = np.cumsum(counts) - counts
+    max_pairs = max(1, _BLOCK_VALUES // pts.shape[1])
+    for off in offsets:
+        if off == 0:
+            a = b = None
+        else:
+            probe = bucket_keys + off
+            pos = np.minimum(np.searchsorted(bucket_keys, probe), len(bucket_keys) - 1)
+            a = np.flatnonzero(bucket_keys[pos] == probe)
+            b = pos[a]
+        for u, v in _bucket_pairs(members, starts, counts, a, b, max_pairs):
+            cross = labels[u] != labels[v]
+            lo = np.minimum(u[cross], v[cross])
+            hi = np.maximum(u[cross], v[cross])
+            w = pair_distances(pts, lo, hi, metric)
+            near = w <= threshold
+            yield lo[near], hi[near], w[near]
+
+
+def _kruskal(lo, hi, w, labels, want):
+    """Kruskal over candidate pairs in (w, lo, hi) order on the components
+    of `labels`, stopping after `want` edges.
+
+    Candidates go in chunks of doubling length; a chunk first drops, in
+    one array pass, the pairs whose components were joined before it.
+    Returns the indices of the taken pairs in that order and the merged
+    labels (each the lowest label of its merged set).
+    """
+    order = np.lexsort((hi, lo, w))
+    comps, inv = np.unique(labels, return_inverse=True)
+    a, b = inv[lo[order]], inv[hi[order]]
+    root = np.arange(len(comps))
     uf = UnionFind()
-    edges = []
-    want = len(np.unique(labels)) - 1
-    for k in order:
-        if uf.union(int(labels[pair_u[k]]), int(labels[pair_v[k]])):
-            edges.append((float(w[k]), int(pair_u[k]), int(pair_v[k])))
-            if len(edges) == want:
-                break
-    return edges, uf.relabel(labels)
+    taken = []
+    start, chunk = 0, max(64, 2 * want)
+    while start < len(order) and len(taken) < want:
+        ra, rb = root[a[start:start + chunk]], root[b[start:start + chunk]]
+        live = np.flatnonzero(ra != rb)
+        for k, x, y in zip(live.tolist(), ra[live].tolist(), rb[live].tolist()):
+            if uf.union(x, y):
+                taken.append(start + k)
+                if len(taken) == want:
+                    break
+        touched = np.unique(np.concatenate((ra[live], rb[live])))
+        remap = np.arange(len(comps))
+        remap[touched] = [uf.find(int(t)) for t in touched]
+        root = remap[root]
+        start += chunk
+        chunk *= 2
+    return order[taken], comps[root[inv]]
+
+
+# candidate pairs kept before they are cut to their spanning forest
+_MAX_KEPT = 1 << 20
+
+
+def _candidates(pts, labels, cells, threshold, side, metric, want):
+    """The cross pairs within `threshold` as (lo, hi, w). Whenever more
+    than _MAX_KEPT accumulate they are cut to their minimum spanning
+    forest, which keeps Kruskal's result: under a strict order no edge off
+    the forest of a subset is in the forest of the whole."""
+    kept, size = [], 0
+    for block in _cross_pairs(pts, labels, cells, threshold, side, metric):
+        kept.append(block)
+        size += len(block[0])
+        if size > _MAX_KEPT:
+            lo, hi, w = (np.concatenate(x) for x in zip(*kept))
+            taken, _merged = _kruskal(lo, hi, w, labels, want)
+            kept, size = [(lo[taken], hi[taken], w[taken])], len(taken)
+    return tuple(np.concatenate(x) for x in zip(*kept))
 
 
 def _pack_keys(cells: np.ndarray, mult: int, pad: int) -> np.ndarray:
@@ -152,12 +272,9 @@ class _GridIndex:
             self._shells[r] = _shell_offsets(r, self.pts.shape[1])
         return self._shells[r]
 
-    def bucket_points(self, b: int) -> np.ndarray:
-        return self.members[self.starts[b]: self.starts[b + 1]]
-
-    def neighborhood_pairs(self, threshold: float):
+    def neighborhood_pairs(self):
         """All directed point pairs within the 3^d bucket neighborhood,
-        sorted by (weight, min id, max id) and trimmed to the threshold."""
+        sorted by (weight, min id, max id)."""
         d = self.pts.shape[1]
         b_list, nb_list = [], []
         uniq_cells = self._unique_cells()
@@ -177,8 +294,7 @@ class _GridIndex:
         if total == 0:
             return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
         g = np.repeat(np.arange(len(per)), per)
-        begins = np.concatenate(([0], np.cumsum(per)))[:-1]
-        within = np.arange(total) - begins[g]
+        within = _ranks(per)
         iu = within // cnb[g]
         iv = within % cnb[g]
         u = self.members[self.starts[b_arr][g] + iu]
@@ -186,9 +302,6 @@ class _GridIndex:
         keep = u != v
         u, v = u[keep], v[keep]
         w = pair_distances(self.pts, u, v, self.metric)
-        if math.isfinite(threshold):
-            ok = w <= threshold
-            u, v, w = u[ok], v[ok], w[ok]
         order = np.lexsort((np.maximum(u, v), np.minimum(u, v), w))
         return u[order], v[order], w[order]
 
@@ -222,8 +335,7 @@ def _ring_pairs(grid: _GridIndex, subset: np.ndarray, r: int):
         if total == 0:
             continue
         g = np.repeat(np.arange(len(cnt)), cnt)
-        begins = np.concatenate(([0], np.cumsum(cnt)))[:-1]
-        within = np.arange(total) - begins[g]
+        within = _ranks(cnt)
         v_out.append(grid.members[grid.starts[buckets][g] + within])
         u_out.append(p_idx[g])
     if not u_out:
@@ -245,14 +357,14 @@ def _best_per_comp(labels, u, v, w, best: dict) -> None:
             best[int(c)] = key
 
 
-def _expand_pending(grid, labels_now, open_labels, best, bound):
+def _expand_pending(grid, labels_now, open_labels, best):
     """Vectorized ring expansion for components whose minimum cross edge is
     not settled by the 3^d neighborhood: scan growing Chebyshev rings until
     every component's best candidate beats the next ring's distance bound."""
 
     def limit_of(c):
         key = best.get(int(c))
-        return bound if key is None else min(bound, key[0])
+        return math.inf if key is None else key[0]
 
     pending = [int(c) for c in open_labels if grid.pitch <= limit_of(c)]
     r = 2
@@ -266,30 +378,27 @@ def _expand_pending(grid, labels_now, open_labels, best, bound):
             u, v = u[cross], v[cross]
         if len(u):
             w = pair_distances(grid.pts, u, v, grid.metric)
-            ok = w <= bound
-            _best_per_comp(labels_now, u[ok], v[ok], w[ok], best)
+            _best_per_comp(labels_now, u, v, w, best)
         pending = [c for c in pending if r * grid.pitch <= limit_of(c)]
         r += 1
-    if any(best.get(c) is None for c in pending) and not math.isfinite(bound):
+    if any(best.get(c) is None for c in pending):
         raise RuntimeError("ring expansion exhausted the grid with pairs left")
 
 
-def _msf_grid(pts, labels, threshold, metric):
-    """Exact merge sequence via Boruvka phases on a bucket grid."""
+def _msf_grid(pts, labels, metric):
+    """Unbounded exact merge sequence via Boruvka phases on a bucket grid.
+    Returns the edges as (w, lo, hi) in that order and the merged labels."""
     grid = _GridIndex(pts, metric)
-    pair_u, pair_v, pair_w = grid.neighborhood_pairs(threshold)
+    pair_u, pair_v, pair_w = grid.neighborhood_pairs()
     uf = UnionFind()
     labels_now = labels.copy()
-    closed_pt = np.zeros(len(labels), dtype=bool)
     edges = []
-    bound = threshold if math.isfinite(threshold) else np.inf
     max_phases = 2 * math.ceil(math.log2(max(2, len(labels)))) + 8
     for _ in range(max_phases):
-        open_labels = np.unique(labels_now[~closed_pt])
+        open_labels = np.unique(labels_now)
         if len(open_labels) <= 1:
             break
-        rows = (labels_now[pair_u] != labels_now[pair_v]) & ~closed_pt[pair_u]
-        rows_idx = np.flatnonzero(rows)
+        rows_idx = np.flatnonzero(labels_now[pair_u] != labels_now[pair_v])
         best: dict = {}
         comp_col = labels_now[pair_u[rows_idx]]
         uniq, first = np.unique(comp_col, return_index=True)
@@ -298,75 +407,53 @@ def _msf_grid(pts, labels, threshold, metric):
             best[int(c)] = (float(pair_w[k]),
                             int(min(pair_u[k], pair_v[k])),
                             int(max(pair_u[k], pair_v[k])))
-        _expand_pending(grid, labels_now, open_labels, best, bound)
-        candidates = []
-        closing = []
-        for c in open_labels:
-            key = best.get(int(c))
-            if key is None or key[0] > bound:
-                closing.append(int(c))
-            else:
-                candidates.append(key)
-        if closing:
-            closed_pt |= np.isin(labels_now, np.asarray(closing, dtype=np.int64))
-        if not candidates:
-            break
-        merged_any = False
-        for w, lo, hi in sorted(set(candidates)):
+        _expand_pending(grid, labels_now, open_labels, best)
+        for w, lo, hi in sorted(set(best.values())):
             if uf.union(int(labels_now[lo]), int(labels_now[hi])):
                 edges.append((w, lo, hi))
-                merged_any = True
-        if not merged_any:
-            break
         labels_now = uf.relabel(labels_now)
-    return edges, labels_now
+    return sorted(edges), labels_now
 
 
-def _msf_within(pts, labels, threshold, metric):
-    """Dispatch to the exact merge engine suited to the cell size/shape.
+def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
+               level_diam: float, eps: float, ps: PointSet):
+    """One level's merge pass over all of its cells: in every cell, emit
+    cross edges up to eps * level_diam, then summarize the cell with an
+    eps^2 * level_diam covering and its induced labels.
 
-    Returns (edges, merged_labels); edges use local row indices and come
-    back in nondecreasing (weight, min id, max id) order.
+    `rep_ids` are the level's surviving points in ascending order,
+    `labels` their component labels and `cells` the index of each one's
+    cell; no component may span two cells. An infinite level_diam removes
+    the threshold, so merging runs until one component remains; that is
+    the root, a single cell. eps = 0 degenerates to exact closest-pair
+    merging and an exact-duplicate covering.
+
+    Returns (covering ids in ascending order, their labels, tree edges as
+    (u, v, w) on global ids with u < v, in (w, u, v) order).
     """
-    m = len(labels)
-    if m <= 1 or len(np.unique(labels)) <= 1:
-        return [], labels.copy()
-    if float((pts.max(axis=0) - pts.min(axis=0)).max()) == 0.0:
-        if threshold < 0:
-            return [], labels.copy()
-        uf = UnionFind()
-        edges = [(0.0, 0, v) for v in range(1, m)
-                 if uf.union(int(labels[0]), int(labels[v]))]
-        return edges, uf.relabel(labels)
-    if m <= BRUTE_CAP or pts.shape[1] > GRID_MAX_DIM:
-        edges, out = _msf_brute(pts, labels, threshold, metric)
-    else:
-        edges, out = _msf_grid(pts, labels, threshold, metric)
-    edges.sort(key=lambda e: (e[0], e[1], e[2]))
-    return edges, out
-
-
-def unit_step(rep_ids: np.ndarray, labels: np.ndarray, level_diam: float,
-              eps: float, ps: PointSet):
-    """One cell's merge pass: emit cross edges up to eps * level_diam, then
-    summarize with an eps^2 * level_diam covering and its induced labels.
-
-    `rep_ids` are the cell's surviving points in ascending order and
-    `labels` their component labels. An infinite level_diam removes the
-    threshold so merging runs until a single component remains (used at
-    the root cell). eps = 0 degenerates to exact closest-pair merging and
-    an exact-duplicate covering.
-
-    Returns (covering ids, covering labels, tree edges on global ids).
-    """
-    if len(rep_ids) == 1:
-        return [int(rep_ids[0])], labels, []
-    threshold = math.inf if math.isinf(level_diam) else eps * level_diam
     pts = ps.points[rep_ids]
-    edges_local, merged = _msf_within(pts, labels, threshold, ps.metric)
-    edges = [(int(rep_ids[lo]), int(rep_ids[hi]), w) for (w, lo, hi) in edges_local]
-    radius = math.inf if math.isinf(level_diam) else eps * eps * level_diam
-    cover = _covering(rep_ids, radius, ps)
-    pos = {int(r): k for k, r in enumerate(rep_ids)}
-    cover_labels = np.asarray([merged[pos[c]] for c in cover], dtype=np.int64)
-    return cover, cover_labels, edges
+    m, d = pts.shape
+    n_cells = len(np.unique(cells))
+    if math.isinf(level_diam):
+        if n_cells > 1:
+            raise InputError("an unbounded level runs one cell, the root")
+        threshold = side = radius = math.inf
+    else:
+        threshold = eps * level_diam
+        # the grid side whose cells have diameter level_diam: the cell side
+        side = _covering_step(level_diam, d, ps.metric)
+        radius = eps * eps * level_diam
+    want = len(np.unique(labels)) - n_cells
+    if want == 0:
+        edges, merged = [], labels
+    elif (math.isinf(threshold) and m > BRUTE_CAP and d <= GRID_MAX_DIM
+          and np.ptp(pts, axis=0).max() > 0):
+        edges, merged = _msf_grid(pts, labels, ps.metric)
+    else:
+        lo, hi, w = _candidates(pts, labels, cells, threshold, side, ps.metric, want)
+        taken, merged = _kruskal(lo, hi, w, labels, want)
+        edges = zip(w[taken].tolist(), lo[taken].tolist(), hi[taken].tolist())
+    cover = _covering(pts, cells, radius, ps.metric)
+    ids = rep_ids.tolist()
+    return (rep_ids[cover], merged[cover],
+            [(ids[lo], ids[hi], w) for w, lo, hi in edges])

@@ -11,7 +11,7 @@ from mpslc.core import (
     SparsePoint,
     derive_seed,
     distance,
-    distance_matrix,
+    pair_distances,
     rng_stream,
     sparse_distance,
 )
@@ -145,17 +145,16 @@ def test_distance_permutation_invariant():
         )
 
 
-def test_distance_matrix_agrees_with_scalar():
+def test_pair_distances_agree_with_scalar():
     rng = np.random.default_rng(4)
-    a = rng.normal(size=(6, 3))
-    b = rng.normal(size=(5, 3))
+    pts = rng.normal(size=(11, 3))
+    u, v = (idx.ravel() for idx in np.meshgrid(np.arange(6), np.arange(6, 11)))
     for metric in (Metric.L0, Metric.L1, Metric.L2, Metric.LINF):
-        mat = distance_matrix(a, b, metric)
-        for i in range(6):
-            for j in range(5):
-                assert mat[i, j] == pytest.approx(
-                    distance(a[i], b[j], metric), abs=1e-12
-                )
+        got = pair_distances(pts, u, v, metric)
+        for k in range(len(u)):
+            assert got[k] == pytest.approx(
+                distance(pts[u[k]], pts[v[k]], metric), abs=1e-12
+            )
 
 
 def test_point_set_validation():

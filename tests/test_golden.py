@@ -8,9 +8,11 @@ meant to keep outputs identical must pass this unchanged.
 
 The theorem-constant clouds keep all 300 points at the root cell, above
 `BRUTE_CAP`, so their root takes the bucket-grid engine; the d = 8 cloud
-takes the brute engine everywhere; the practical-constant cloud emits
-edges and shrinks coverings on bounded levels, under a budget small
-enough that levels pack onto several machines.
+takes the all-pairs engine everywhere; the practical-constant l1, l2 and
+linf clouds emit edges and shrink coverings on bounded levels, under a
+budget small enough that levels pack onto several machines. The integer
+cloud has exact duplicates: zero-weight edges, zero-extent cells and many
+tied distances on bounded levels.
 
 To re-record after a deliberate change of outputs:
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -37,8 +39,13 @@ def _cloud(n, d, metric, seed):
     return PointSet(points=pts, metric=metric)
 
 
-def _grid_case(n, d, metric, seed, c=1.0, mpc=None):
-    ps = _cloud(n, d, metric, seed)
+def _int_cloud(n, d, metric, seed):
+    pts = np.random.default_rng(seed).integers(0, 6, (n, d)).astype(float)
+    return PointSet(points=pts, metric=metric)
+
+
+def _grid_case(n, d, metric, seed, c=1.0, mpc=None, cloud=_cloud):
+    ps = cloud(n, d, metric, seed)
     params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(seed), repetitions=2,
                                      mpc=mpc, c1=c, c2=c)
     return ps, approximate_mst(ps, params)
@@ -57,6 +64,12 @@ CASES = {
     "l2-d8-brute": lambda: _grid_case(200, 8, Metric.L2, 4),
     "l2-practical": lambda: _grid_case(300, 3, Metric.L2, 5, c=0.004,
                                        mpc=MpcConfig(space_s=2000)),
+    "l1-practical": lambda: _grid_case(300, 3, Metric.L1, 7, c=0.0012,
+                                       mpc=MpcConfig(space_s=2000)),
+    "linf-practical": lambda: _grid_case(300, 3, Metric.LINF, 8, c=0.004,
+                                         mpc=MpcConfig(space_s=2000)),
+    "l1-int-duplicates": lambda: _grid_case(300, 3, Metric.L1, 9, c=0.004,
+                                            cloud=_int_cloud),
     "hamming-d6": lambda: _hamming_case(200, 6, 6),
 }
 

@@ -19,14 +19,9 @@ from mpslc.mpc import (
 from mpslc.oracle import kruskal_edges
 
 
-def _noop(value=0):
-    return lambda: value
-
-
 def test_run_level_one_small_job():
     cfg = MpcConfig(space_s=120)
-    outputs, stats = run_level([(30, _noop(7))], cfg)
-    assert outputs == [7]
+    stats = run_level([30], cfg)
     assert stats.machines_used == 1
     assert stats.max_words_on_any_machine <= cfg.space_s
 
@@ -34,9 +29,7 @@ def test_run_level_one_small_job():
 def test_run_level_six_third_size_jobs():
     s = 300
     cfg = MpcConfig(space_s=s)
-    jobs = [(s // 3, _noop(i)) for i in range(6)]
-    outputs, stats = run_level(jobs, cfg)
-    assert outputs == list(range(6))
+    stats = run_level([s // 3] * 6, cfg)
     assert stats.machines_used <= 3 * (2 * s) / s + 1
     assert stats.machines_used == 3
     assert stats.max_words_on_any_machine <= s
@@ -45,34 +38,71 @@ def test_run_level_six_third_size_jobs():
 def test_run_level_rejects_oversized_job():
     cfg = MpcConfig(space_s=90)
     with pytest.raises(CapacityError):
-        run_level([(31, _noop())], cfg)
+        run_level([31], cfg)
 
 
 def test_run_level_replay_deterministic():
     rng = np.random.default_rng(0)
     sizes = rng.integers(1, 40, size=100)
     cfg = MpcConfig(space_s=128)
-    jobs = [(int(sz), _noop(int(sz))) for sz in sizes]
-    out1, st1 = run_level(jobs, cfg)
-    out2, st2 = run_level(jobs, cfg)
-    assert out1 == out2
-    assert st1 == st2
+    assert run_level(sizes, cfg) == run_level(sizes, cfg)
 
 
 def test_run_level_machine_cap():
     cfg = MpcConfig(space_s=90, max_machines=1)
-    jobs = [(30, _noop())] * 9
     with pytest.raises(CapacityError):
-        run_level(jobs, cfg)
+        run_level([30] * 9, cfg)
 
 
 def test_run_level_machine_bound_formula():
     rng = np.random.default_rng(1)
     cfg = MpcConfig(space_s=300)
     for _ in range(20):
-        jobs = [(int(sz), _noop()) for sz in rng.integers(1, 100, size=30)]
-        _, stats = run_level(jobs, cfg)
+        stats = run_level(rng.integers(1, 100, size=30), cfg)
         assert stats.machines_used <= 3 * stats.input_words / cfg.space_s + 1
+
+
+def _packing_loop(sizes, cfg):
+    """Reference packing, one job at a time: the first machine that holds
+    at most s/3 words takes the job; a machine opens when none does.
+    Returns (machines, peak words), or None where the input is refused."""
+    cap = cfg.space_s // 3
+    used, peak = [], []
+    for size in sizes:
+        if size > cap:
+            return None
+        k = next((i for i, u in enumerate(used) if u <= cap), None)
+        if k is None:
+            if cfg.max_machines is not None and len(used) == cfg.max_machines:
+                return None
+            used.append(0)
+            peak.append(0)
+            k = len(used) - 1
+        used[k] += size
+        peak[k] = max(peak[k], size)
+    return len(used), max((u + p for u, p in zip(used, peak)), default=0)
+
+
+@pytest.mark.parametrize("max_machines", [None, 4])
+def test_run_level_packing_matches_first_fit_loop(max_machines):
+    rng = np.random.default_rng(6)
+    cfg = MpcConfig(space_s=300, max_machines=max_machines)
+    cap = cfg.space_s // 3
+    refused = 0
+    for _ in range(300):
+        sizes = rng.choice([1, 7, 30, cap - 1, cap, cap + 1], size=rng.integers(0, 16),
+                           p=[0.2, 0.2, 0.2, 0.15, 0.2, 0.05])
+        want = _packing_loop(sizes.tolist(), cfg)
+        if want is None:
+            refused += 1
+            with pytest.raises(CapacityError):
+                run_level(sizes, cfg)
+            continue
+        stats = run_level(sizes, cfg)
+        assert (stats.machines_used, stats.max_words_on_any_machine) == want
+        assert stats.total_messages_words == stats.input_words == int(sizes.sum())
+        assert stats.kind == "level"
+    assert 0 < refused < 300
 
 
 def test_edge_list_build_dedups_min():
@@ -223,7 +253,7 @@ def test_trace_json_lines_schema():
 def test_merge_parallel_overlays():
     t1 = MpcTrace()
     t2 = MpcTrace()
-    _, s1 = run_level([(10, _noop())], MpcConfig(space_s=96))
+    s1 = run_level([10], MpcConfig(space_s=96))
     t1.append(s1)
     t2.append(s1)
     t2.append(s1)

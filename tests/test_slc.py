@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mpslc.core import InputError, Metric, PointSet, Seed, UnsupportedMetricError
-from mpslc.mpc import SpanningTree
+from mpslc.core import (
+    CapacityError,
+    InputError,
+    Metric,
+    PointSet,
+    Seed,
+    UnsupportedMetricError,
+)
+from mpslc.mpc import MpcConfig, SpanningTree
 from mpslc.oracle import exact_mst, exhaustive_slc
 from mpslc.slc import (
     SlcParams,
@@ -198,3 +205,18 @@ def test_slc_params_rejects_eps_outside_unit_interval():
             SlcParams.for_point_set(ps, 0.5, Seed(1), c1=c, c2=c)
     params = SlcParams.for_point_set(ps, 0.5, Seed(1), c1=0.003, c2=0.003)
     assert 0.0 < params.eps < 1.0
+
+
+def test_capacity_error_names_repetition_level_and_cell():
+    # theorem constants under the sublinear budget s = floor(15 n^0.75):
+    # the root cell holds every point, 5 words each, against s/3 = 606
+    n = 600
+    ps = PointSet(points=np.random.default_rng(17).uniform(0.0, 1.0, (n, 3)),
+                  metric=Metric.L2)
+    cfg = MpcConfig(space_s=math.floor(15 * n ** 0.75))
+    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(17), repetitions=2, mpc=cfg)
+    with pytest.raises(CapacityError) as caught:
+        approximate_mst(ps, params)
+    message = str(caught.value)
+    assert message.startswith("repetition 0, root, cell (0, 0, 0): ")
+    assert "needs 3000 words of working space, budget allows 606" in message

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from mpslc.core import Metric, PointSet
-from mpslc.oracle import brute_closest_cross_pair, kruskal_points_mst
-from mpslc.unitstep import unit_step
+from mpslc.oracle import _row_dists, brute_closest_cross_pair, kruskal_edges, kruskal_points_mst
+from mpslc.slc import derive_eps
+from mpslc import unitstep
+from mpslc.unitstep import level_step
 
-from conftest import uniform_points
+from conftest import FLOAT_METRICS, uniform_points
 
 
 def line_points(values):
@@ -21,10 +23,13 @@ def singletons(ids):
 
 
 def run_step(comp_of, level_diam, eps, ps):
-    """unit_step on the reps and labels of a {rep: label} dict."""
+    """level_step on one cell holding the reps and labels of a {rep: label}
+    dict; the covering comes back as a list."""
     rep_ids = np.asarray(sorted(comp_of), dtype=np.int64)
     labels = np.asarray([comp_of[r] for r in rep_ids], dtype=np.int64)
-    return unit_step(rep_ids, labels, level_diam, eps, ps)
+    cells = np.zeros(len(rep_ids), dtype=np.int64)
+    cover, cover_labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
+    return cover.tolist(), cover_labels, edges
 
 
 def covering(ids, radius, ps):
@@ -206,3 +211,111 @@ def test_unit_step_brute_engine_memory_bounded():
         tracemalloc.stop()
     assert len(edges) == 299
     assert peak < 64 * 2**20
+
+
+def _level_input(metric, seed, ties):
+    """A level's reps, labels and cells: a random subset of a uniform or a
+    tie-heavy integer cloud, cut by a coarse grid into cells, with labels
+    that join random groups of points inside each cell."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        pts = rng.integers(0, 8, (400, 3)).astype(float) / 8.0
+    else:
+        pts = rng.uniform(0.0, 1.0, (400, 3))
+    ps = PointSet(points=pts, metric=metric)
+    rep_ids = np.sort(rng.choice(400, size=300, replace=False))
+    coarse = np.floor(pts[rep_ids] * 2.0)
+    _, cells = np.unique(coarse, axis=0, return_inverse=True)
+    group = rng.integers(0, 40, len(rep_ids))
+    labels = np.empty(len(rep_ids), dtype=np.int64)
+    for key in set(zip(cells.tolist(), group.tolist())):
+        mask = (cells == key[0]) & (group == key[1])
+        labels[mask] = rep_ids[mask].min()
+    return ps, rep_ids, labels, cells
+
+
+LEVEL_CASES = [(metric, ties, level_diam)
+               for metric in FLOAT_METRICS for ties in (False, True)
+               for level_diam in (0.4, 2.5)]
+
+
+@pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
+def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam):
+    ps, rep_ids, labels, cells = _level_input(metric, 20, ties)
+    eps = 0.3
+    cover, cover_labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
+    want_cover, want_labels, want_edges = [], [], []
+    for c in range(cells.max() + 1):
+        inside = cells == c
+        one = np.zeros(int(inside.sum()), dtype=np.int64)
+        c_cover, c_labels, c_edges = level_step(rep_ids[inside], labels[inside], one,
+                                                level_diam, eps, ps)
+        want_cover += c_cover.tolist()
+        want_labels += c_labels.tolist()
+        want_edges += c_edges
+    order = np.argsort(want_cover)
+    assert cover.tolist() == np.asarray(want_cover)[order].tolist()
+    assert cover_labels.tolist() == np.asarray(want_labels)[order].tolist()
+    assert edges == sorted(want_edges, key=lambda e: (e[2], e[0], e[1]))
+    assert edges, "the case should merge something"
+
+
+@pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
+def test_level_step_cells_match_oracle_kruskal(metric, ties, level_diam):
+    """Per cell, Kruskal over the cross-component pairs within the
+    threshold; chains of weight -1 join each component first."""
+    ps, rep_ids, labels, cells = _level_input(metric, 21, ties)
+    eps = 0.3
+    threshold = eps * level_diam
+    _cover, _labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
+    got = sorted(edges)
+    want = []
+    for c in range(cells.max() + 1):
+        ids = rep_ids[cells == c]
+        labs = labels[cells == c]
+        graph = []
+        for lab in np.unique(labs):
+            members = ids[labs == lab]
+            graph += [(a, b, -1.0) for a, b in zip(members, members[1:])]
+        for i, u in enumerate(ids):
+            ws = _row_dists(ps.points[ids[i + 1:]], ps.points[u], ps.metric)
+            graph += [(u, v, w) for v, w, lab in zip(ids[i + 1:], ws, labs[i + 1:])
+                      if lab != labs[i] and w <= threshold]
+        want += [(u, v, w) for u, v, w in kruskal_edges(ps.n, graph) if w >= 0]
+    want.sort()
+    assert [(u, v) for u, v, _ in got] == [(u, v) for u, v, _ in want]
+    np.testing.assert_allclose([w for *_, w in got], [w for *_, w in want],
+                               rtol=1e-12, atol=0)
+
+
+def test_level_step_candidate_cut_keeps_edges(monkeypatch):
+    # cutting the candidates to their spanning forest, block after block,
+    # leaves the edges, covering and labels as they are
+    ps, rep_ids, labels, cells = _level_input(Metric.L2, 22, False)
+    whole = level_step(rep_ids, labels, cells, 2.5, 0.3, ps)
+    monkeypatch.setattr(unitstep, "_BLOCK_VALUES", 300)
+    monkeypatch.setattr(unitstep, "_MAX_KEPT", 50)
+    cut = level_step(rep_ids, labels, cells, 2.5, 0.3, ps)
+    assert cut[2] == whole[2] and len(whole[2]) > 50
+    assert cut[0].tolist() == whole[0].tolist()
+    assert cut[1].tolist() == whole[1].tolist()
+
+
+def test_level_step_bounded_level_memory_bounded():
+    # one 20k-point cell at the theorem eps: all pairs would be 2e8 pairs,
+    # the neighbouring buckets a few per point
+    n = 20_000
+    ps = uniform_points(n, 3, seed=16)
+    eps = derive_eps(0.5, levels=15, b=3.0, c1=1.0, c2=1.0)
+    level_diam = math.sqrt(3.0)
+    ids = np.arange(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        cover, _labels, edges = level_step(ids, ids, np.zeros(n, dtype=np.int64),
+                                           level_diam, eps, ps)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert edges and all(w <= eps * level_diam for _u, _v, w in edges)
+    assert len(cover) == n
+    assert peak < 16 * 2**20
