@@ -1,4 +1,4 @@
-"""One level's merge pass over all of its cells, and the root's exact engine.
+"""One level's merge pass over all of its cells.
 
 Within a cell, merging repeatedly takes the closest pair of points lying
 in two different components, emits it as a tree edge while its distance
@@ -11,13 +11,16 @@ union-find, yields each cell's edges at once. A finished cell is
 summarized by an eps^2 * level_diam covering of its points plus the
 induced component labels on the covering.
 
-Candidate pairs are built in blocks of bounded memory: every pair of a
-cell, or, where the threshold is below the cell side in at most
-GRID_MAX_DIM dimensions, only pairs in neighbouring buckets of pitch at
-least twice the threshold. The root cell runs unbounded: from all of its
-pairs up to BRUTE_CAP points or above GRID_MAX_DIM dimensions, and by
-bucket-grid accelerated Boruvka phases otherwise. Both are exact, which
-trivially satisfies the (1+eps)-approximate contract the caller relies on.
+Exact duplicates join the lowest position in their cell with the same
+coordinates at weight 0 and take no further part. Candidate pairs of the distinct points
+are built in blocks of bounded memory: every pair of a cell, or, where
+the threshold is below the cell side in at most GRID_MAX_DIM dimensions,
+only pairs in neighbouring buckets of pitch at least twice the threshold.
+A cell with more candidate pairs per point than a BRUTE_CAP-point cell
+has, in at most GRID_MAX_DIM dimensions, runs bucket-grid accelerated
+Boruvka phases instead; so does the root, the unbounded cell of the last
+level, above BRUTE_CAP points. Both engines are exact, which trivially
+satisfies the (1+eps)-approximate contract the caller relies on.
 """
 
 from __future__ import annotations
@@ -54,6 +57,17 @@ def _covering_step(radius: float, dim: int, metric: Metric) -> float:
     raise UnsupportedMetricError("coverings are defined for L1, L2 and LINF only")
 
 
+def _key_runs(keys: np.ndarray):
+    """Positions in stable order of their rows of `keys`, and a mask of
+    the positions in that order that start a run of equal rows; by
+    stability each run starts at its lowest position."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order, starts
+
+
 def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric) -> np.ndarray:
     """Positions of the covering, ascending: the lowest position per cell
     and key. The key is the floored grid coordinates at a pitch whose
@@ -67,12 +81,8 @@ def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric)
     else:
         # bit patterns: equal keys are equal coordinates
         keys = np.column_stack((cells, pts.view(np.int64)))
-    # lexsort is stable, so each run of equal keys starts at its lowest position
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    return np.sort(order[first])
+    order, starts = _key_runs(keys)
+    return np.sort(order[starts])
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -80,92 +90,115 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _buckets(pts, cells, threshold, side):
-    """Bucket key per position and the key offsets of the neighbouring
-    buckets that can hold a pair within `threshold`.
+def _pack_keys(cells: np.ndarray, mult: int, pad: int) -> np.ndarray:
+    keys = np.zeros(len(cells), dtype=np.int64)
+    for j in range(cells.shape[1]):
+        keys = keys * mult + (cells[:, j] + pad)
+    return keys
+
+
+def _half_offsets(dim: int, mult: int) -> list:
+    """Packed-key offsets of a bucket itself (0) and of its neighbours in
+    half of the 3^d - 1 directions, so each neighbouring pair comes up once."""
+    weights = mult ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return [0] + [int(np.dot(off, weights))
+                  for off in itertools.product((-1, 0, 1), repeat=dim)
+                  if next((c for c in off if c), 0) > 0]
+
+
+class _Buckets:
+    """Positions grouped by packed integer key, keys ascending: bucket k
+    holds positions members[starts[k]: starts[k] + counts[k]], ascending."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys, inv = np.unique(keys, return_inverse=True)
+        self.members = np.argsort(inv, kind="stable")
+        self.counts = np.bincount(inv, minlength=len(self.keys))
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def lookup(self, probe: np.ndarray) -> np.ndarray:
+        """Bucket index per packed key, -1 where no bucket holds it."""
+        pos = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
+        return np.where(self.keys[pos] == probe, pos, -1)
+
+    def links(self, offsets):
+        """Bucket pairs (a, b) whose keys differ by one of `offsets`; the
+        offset 0 links every bucket to itself."""
+        a, b = [], []
+        for off in offsets:
+            nb = self.lookup(self.keys + off)
+            hit = np.flatnonzero(nb >= 0)
+            a.append(hit)
+            b.append(nb[hit])
+        return np.concatenate(a), np.concatenate(b)
+
+    def link_pairs(self, a, b) -> np.ndarray:
+        """Number of position pairs that each link yields."""
+        ca = self.counts[a]
+        return np.where(a == b, ca * (ca - 1) // 2, ca * self.counts[b])
+
+    def pairs(self, a, b, max_pairs: int):
+        """Position pairs of the links in blocks of about max_pairs: every
+        point of bucket a[k] with every point of bucket b[k], or, where
+        a[k] == b[k], each unordered pair inside the bucket once."""
+        ca = self.counts[a]
+        rows = np.repeat(self.starts[a], ca) + _ranks(ca)
+        first = np.where(np.repeat(a == b, ca), rows + 1, np.repeat(self.starts[b], ca))
+        width = np.repeat(self.starts[b] + self.counts[b], ca) - first
+        cum = np.cumsum(width)
+        lo = 0
+        while lo < len(rows):
+            base = int(cum[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cum, base + max_pairs, side="right")))
+            w = width[lo:hi]
+            g = np.repeat(np.arange(hi - lo), w)
+            yield self.members[rows[lo:hi][g]], self.members[first[lo:hi][g] + _ranks(w)]
+            lo = hi
+
+
+def _level_buckets(pts, cells, threshold, side):
+    """The level's positions in buckets, and the links (a, b) between the
+    buckets whose points can pair within `threshold`.
 
     Unless buckets of pitch 2 * threshold (or 2^-20 of the cell side, if
     larger) are narrower than the cell side in at most GRID_MAX_DIM
-    dimensions, the bucket is the cell and the only offset 0. Otherwise
+    dimensions, the bucket is the cell, linked only to itself. Otherwise
     the key packs the cell with the floored offset from the cell's lowest
-    point, and the offsets are 0 and half of the other 3^d neighbours, so
-    every bucket pair comes up once. A pitch
-    of twice the threshold keeps every pair within it in neighbouring
-    buckets despite rounding.
+    point, and a bucket links to itself and to half of its 3^d
+    neighbours. A pitch of twice the threshold keeps every pair within it
+    in linked buckets despite rounding.
     """
-    n_cells = int(cells.max()) + 1
     d = pts.shape[1]
     # at most 2^20 buckets across a cell keep the floored offsets in range
     pitch = max(2.0 * threshold, side / 2 ** 20)
     if d > GRID_MAX_DIM or not 0 < pitch < side:
-        return cells, [0]
+        index = _Buckets(cells)
+        own = np.arange(len(index.keys))
+        return index, own, own
+    n_cells = int(cells.max()) + 1
     lo = np.full((n_cells, d), np.inf)
     np.minimum.at(lo, cells, pts)
     rel = pts - lo[cells]
     while True:
         local = np.floor(rel / pitch).astype(np.int64)
         mult = int(local.max()) + 3
-        if n_cells * mult ** d < 2 ** 62:
+        if (n_cells + 1) * mult ** d < 2 ** 62:
             break
         pitch *= 2.0
-    keys = cells.astype(np.int64)
-    for j in range(d):
-        keys = keys * mult + (local[:, j] + 1)
-    weights = mult ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    offsets = [0]
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        first = next((c for c in off if c), 0)
-        if first > 0:
-            offsets.append(int(np.dot(off, weights)))
-    return keys, offsets
+    index = _Buckets(_pack_keys(np.column_stack((cells, local)), mult, 1))
+    return (index, *index.links(_half_offsets(d, mult)))
 
 
-def _bucket_pairs(members, starts, counts, a, b, max_pairs):
-    """Pairs of positions from buckets a[k] and b[k], in blocks of about
-    max_pairs. With a is None, each unordered pair inside every bucket."""
-    if a is None:
-        rows = np.arange(len(members))
-        first = rows + 1
-        width = np.repeat(starts + counts, counts) - first
-    else:
-        rows = np.repeat(starts[a], counts[a]) + _ranks(counts[a])
-        first = np.repeat(starts[b], counts[a])
-        width = np.repeat(counts[b], counts[a])
-    cum = np.cumsum(width)
-    lo = 0
-    while lo < len(rows):
-        base = int(cum[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(cum, base + max_pairs, side="right")))
-        w = width[lo:hi]
-        g = np.repeat(np.arange(hi - lo), w)
-        yield members[rows[lo:hi][g]], members[first[lo:hi][g] + _ranks(w)]
-        lo = hi
-
-
-def _cross_pairs(pts, labels, cells, threshold, side, metric):
-    """Blocks of position pairs lo < hi in one cell and in two components,
-    at most `threshold` apart, with their distances."""
-    keys, offsets = _buckets(pts, cells, threshold, side)
-    bucket_keys, inv = np.unique(keys, return_inverse=True)
-    members = np.argsort(inv, kind="stable")
-    counts = np.bincount(inv)
-    starts = np.cumsum(counts) - counts
-    max_pairs = max(1, _BLOCK_VALUES // pts.shape[1])
-    for off in offsets:
-        if off == 0:
-            a = b = None
-        else:
-            probe = bucket_keys + off
-            pos = np.minimum(np.searchsorted(bucket_keys, probe), len(bucket_keys) - 1)
-            a = np.flatnonzero(bucket_keys[pos] == probe)
-            b = pos[a]
-        for u, v in _bucket_pairs(members, starts, counts, a, b, max_pairs):
-            cross = labels[u] != labels[v]
-            lo = np.minimum(u[cross], v[cross])
-            hi = np.maximum(u[cross], v[cross])
-            w = pair_distances(pts, lo, hi, metric)
-            near = w <= threshold
-            yield lo[near], hi[near], w[near]
+def _cross_pairs(pts, labels, index, a, b, threshold, metric):
+    """Blocks of position pairs lo < hi from the links (a, b), in two
+    components and at most `threshold` apart, with their distances."""
+    for u, v in index.pairs(a, b, max(1, _BLOCK_VALUES // pts.shape[1])):
+        cross = labels[u] != labels[v]
+        lo = np.minimum(u[cross], v[cross])
+        hi = np.maximum(u[cross], v[cross])
+        w = pair_distances(pts, lo, hi, metric)
+        near = w <= threshold
+        yield lo[near], hi[near], w[near]
 
 
 def _kruskal(lo, hi, w, labels, want):
@@ -201,17 +234,20 @@ def _kruskal(lo, hi, w, labels, want):
     return order[taken], comps[root[inv]]
 
 
-# candidate pairs kept before they are cut to their spanning forest
+# candidate pairs kept before they are cut to their spanning forest; this
+# bounds a level's memory, as the engine choice bounds a cell's pair work
 _MAX_KEPT = 1 << 20
 
 
-def _candidates(pts, labels, cells, threshold, side, metric, want):
-    """The cross pairs within `threshold` as (lo, hi, w). Whenever more
-    than _MAX_KEPT accumulate they are cut to their minimum spanning
-    forest, which keeps Kruskal's result: under a strict order no edge off
-    the forest of a subset is in the forest of the whole."""
-    kept, size = [], 0
-    for block in _cross_pairs(pts, labels, cells, threshold, side, metric):
+def _candidates(pts, labels, index, a, b, threshold, metric, want):
+    """The cross pairs of the links (a, b) within `threshold` as
+    (lo, hi, w). Whenever more than _MAX_KEPT accumulate they are cut to
+    their minimum spanning forest, which keeps Kruskal's result: under a
+    strict order no edge off the forest of a subset is in the forest of
+    the whole."""
+    kept = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    size = 0
+    for block in _cross_pairs(pts, labels, index, a, b, threshold, metric):
         kept.append(block)
         size += len(block[0])
         if size > _MAX_KEPT:
@@ -221,13 +257,6 @@ def _candidates(pts, labels, cells, threshold, side, metric, want):
     return tuple(np.concatenate(x) for x in zip(*kept))
 
 
-def _pack_keys(cells: np.ndarray, mult: int, pad: int) -> np.ndarray:
-    keys = np.zeros(len(cells), dtype=np.int64)
-    for j in range(cells.shape[1]):
-        keys = keys * mult + (cells[:, j] + pad)
-    return keys
-
-
 def _shell_offsets(r: int, dim: int) -> np.ndarray:
     """Integer offsets at Chebyshev distance exactly r."""
     offs = [o for o in itertools.product(range(-r, r + 1), repeat=dim)
@@ -235,7 +264,7 @@ def _shell_offsets(r: int, dim: int) -> np.ndarray:
     return np.asarray(offs, dtype=np.int64)
 
 
-class _GridIndex:
+class _GridIndex(_Buckets):
     """Static bucket grid over a cell's points for exact cross-pair search."""
 
     def __init__(self, pts: np.ndarray, metric: Metric):
@@ -245,69 +274,31 @@ class _GridIndex:
         lo = pts.min(axis=0)
         self.extent = float((pts.max(axis=0) - lo).max())
         self.pitch = self.extent / max(1.0, math.floor(m ** (1.0 / d)))
-        cells = np.floor((pts - lo) / self.pitch).astype(np.int64)
-        self.cells = cells
-        self.maxc = int(cells.max()) + 1
-        self.r_cap = self.maxc + 2
+        self.cells = np.floor((pts - lo) / self.pitch).astype(np.int64)
+        maxc = int(self.cells.max()) + 1
+        self.r_cap = maxc + 2
         self.pad = self.r_cap + 2
-        self.mult = self.maxc + 2 * self.pad
-        keys = _pack_keys(cells, self.mult, self.pad)
-        self.bucket_keys, inv = np.unique(keys, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        self.members = order
-        counts = np.bincount(inv, minlength=len(self.bucket_keys))
-        self.starts = np.concatenate(([0], np.cumsum(counts)))
-        self.counts = counts
+        self.mult = maxc + 2 * self.pad
+        super().__init__(_pack_keys(self.cells, self.mult, self.pad))
         self._shells = {}
-
-    def lookup(self, probe_keys: np.ndarray) -> np.ndarray:
-        """Bucket ids for packed keys, -1 where the bucket is empty."""
-        pos = np.searchsorted(self.bucket_keys, probe_keys)
-        pos = np.clip(pos, 0, len(self.bucket_keys) - 1)
-        hit = self.bucket_keys[pos] == probe_keys
-        return np.where(hit, pos, -1)
 
     def shell(self, r: int) -> np.ndarray:
         if r not in self._shells:
             self._shells[r] = _shell_offsets(r, self.pts.shape[1])
         return self._shells[r]
 
-    def neighborhood_pairs(self):
-        """All directed point pairs within the 3^d bucket neighborhood,
-        sorted by (weight, min id, max id)."""
-        d = self.pts.shape[1]
-        b_list, nb_list = [], []
-        uniq_cells = self._unique_cells()
-        for off in itertools.product((-1, 0, 1), repeat=d):
-            shifted = _pack_keys(uniq_cells + np.asarray(off, dtype=np.int64),
-                                 self.mult, self.pad)
-            nb = self.lookup(shifted)
-            ok = nb >= 0
-            b_list.append(np.flatnonzero(ok))
-            nb_list.append(nb[ok])
-        b_arr = np.concatenate(b_list)
-        nb_arr = np.concatenate(nb_list)
-        cb = self.counts[b_arr]
-        cnb = self.counts[nb_arr]
-        per = cb * cnb
-        total = int(per.sum())
-        if total == 0:
-            return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        g = np.repeat(np.arange(len(per)), per)
-        within = _ranks(per)
-        iu = within // cnb[g]
-        iv = within % cnb[g]
-        u = self.members[self.starts[b_arr][g] + iu]
-        v = self.members[self.starts[nb_arr][g] + iv]
-        keep = u != v
-        u, v = u[keep], v[keep]
-        w = pair_distances(self.pts, u, v, self.metric)
-        order = np.lexsort((np.maximum(u, v), np.minimum(u, v), w))
+    def neighborhood_pairs(self, threshold: float):
+        """Point pairs within the 3^d bucket neighbourhood and `threshold`,
+        in both directions, sorted by (weight, min id, max id)."""
+        a, b = self.links(_half_offsets(self.pts.shape[1], self.mult))
+        blocks = self.pairs(a, b, max(1, _BLOCK_VALUES // self.pts.shape[1]))
+        lo, hi = (np.concatenate(x) for x in zip(*blocks))
+        w = pair_distances(self.pts, lo, hi, self.metric)
+        near = w <= threshold
+        lo, hi, w = lo[near], hi[near], w[near]
+        u, v, w = np.concatenate((lo, hi)), np.concatenate((hi, lo)), np.tile(w, 2)
+        order = np.lexsort((np.tile(hi, 2), np.tile(lo, 2), w))
         return u[order], v[order], w[order]
-
-    def _unique_cells(self) -> np.ndarray:
-        firsts = self.members[self.starts[:-1]]
-        return self.cells[firsts]
 
 
 def _better(key_a, key_b) -> bool:
@@ -357,14 +348,14 @@ def _best_per_comp(labels, u, v, w, best: dict) -> None:
             best[int(c)] = key
 
 
-def _expand_pending(grid, labels_now, open_labels, best):
+def _expand_pending(grid, labels_now, open_labels, best, bound):
     """Vectorized ring expansion for components whose minimum cross edge is
     not settled by the 3^d neighborhood: scan growing Chebyshev rings until
     every component's best candidate beats the next ring's distance bound."""
 
     def limit_of(c):
         key = best.get(int(c))
-        return math.inf if key is None else key[0]
+        return bound if key is None else min(bound, key[0])
 
     pending = [int(c) for c in open_labels if grid.pitch <= limit_of(c)]
     r = 2
@@ -378,27 +369,32 @@ def _expand_pending(grid, labels_now, open_labels, best):
             u, v = u[cross], v[cross]
         if len(u):
             w = pair_distances(grid.pts, u, v, grid.metric)
-            _best_per_comp(labels_now, u, v, w, best)
+            ok = w <= bound
+            _best_per_comp(labels_now, u[ok], v[ok], w[ok], best)
         pending = [c for c in pending if r * grid.pitch <= limit_of(c)]
         r += 1
-    if any(best.get(c) is None for c in pending):
+    if any(best.get(c) is None for c in pending) and math.isinf(bound):
         raise RuntimeError("ring expansion exhausted the grid with pairs left")
 
 
-def _msf_grid(pts, labels, metric):
-    """Unbounded exact merge sequence via Boruvka phases on a bucket grid.
-    Returns the edges as (w, lo, hi) in that order and the merged labels."""
+def _msf_grid(pts, labels, threshold, metric):
+    """Exact merge sequence up to `threshold` via Boruvka phases on a
+    bucket grid: a component without a cross pair within the threshold
+    closes. Returns the edges as (w, lo, hi) in that order and the merged
+    labels."""
     grid = _GridIndex(pts, metric)
-    pair_u, pair_v, pair_w = grid.neighborhood_pairs()
+    pair_u, pair_v, pair_w = grid.neighborhood_pairs(threshold)
     uf = UnionFind()
     labels_now = labels.copy()
+    closed_pt = np.zeros(len(labels), dtype=bool)
     edges = []
     max_phases = 2 * math.ceil(math.log2(max(2, len(labels)))) + 8
     for _ in range(max_phases):
-        open_labels = np.unique(labels_now)
+        open_labels = np.unique(labels_now[~closed_pt])
         if len(open_labels) <= 1:
             break
-        rows_idx = np.flatnonzero(labels_now[pair_u] != labels_now[pair_v])
+        rows = (labels_now[pair_u] != labels_now[pair_v]) & ~closed_pt[pair_u]
+        rows_idx = np.flatnonzero(rows)
         best: dict = {}
         comp_col = labels_now[pair_u[rows_idx]]
         uniq, first = np.unique(comp_col, return_index=True)
@@ -407,12 +403,98 @@ def _msf_grid(pts, labels, metric):
             best[int(c)] = (float(pair_w[k]),
                             int(min(pair_u[k], pair_v[k])),
                             int(max(pair_u[k], pair_v[k])))
-        _expand_pending(grid, labels_now, open_labels, best)
-        for w, lo, hi in sorted(set(best.values())):
+        _expand_pending(grid, labels_now, open_labels, best, threshold)
+        candidates = []
+        closing = []
+        for c in open_labels:
+            key = best.get(int(c))
+            if key is None or key[0] > threshold:
+                closing.append(int(c))
+            else:
+                candidates.append(key)
+        if closing:
+            closed_pt |= np.isin(labels_now, np.asarray(closing, dtype=np.int64))
+        merged_any = False
+        for w, lo, hi in sorted(set(candidates)):
             if uf.union(int(labels_now[lo]), int(labels_now[hi])):
                 edges.append((w, lo, hi))
+                merged_any = True
+        if not merged_any:
+            break
         labels_now = uf.relabel(labels_now)
     return sorted(edges), labels_now
+
+
+def _merge_distinct(pts, labels, cells, threshold, side, metric, want):
+    """Kruskal's edges of every cell of distinct points, as (w, lo, hi),
+    and the merged labels. A cell whose candidate pairs would outnumber,
+    per point, those of a BRUTE_CAP-point cell runs the bucket-grid
+    Boruvka engine in at most GRID_MAX_DIM dimensions; the other cells
+    share one Kruskal over their candidates."""
+    index, a, b = _level_buckets(pts, cells, threshold, side)
+    link_cell = cells[index.members[index.starts[a]]]
+    n_cells = int(cells.max()) + 1
+    size = np.bincount(cells, minlength=n_cells)
+    pairs = np.bincount(link_cell, index.link_pairs(a, b), n_cells)
+    dense = (pairs > size * ((BRUTE_CAP - 1) / 2)) & (pts.shape[1] <= GRID_MAX_DIM)
+    edges = []
+    merged = labels.copy()
+    by_cell = np.argsort(cells, kind="stable")
+    starts = np.cumsum(size) - size
+    for c in np.flatnonzero(dense).tolist():
+        pos = by_cell[starts[c]: starts[c] + size[c]]
+        cell_edges, cell_labels = _msf_grid(pts[pos], labels[pos], threshold, metric)
+        merged[pos] = cell_labels
+        edges += [(w, int(pos[lo]), int(pos[hi])) for w, lo, hi in cell_edges]
+        want -= len(np.unique(labels[pos])) - 1
+    sparse = ~dense[link_cell]
+    lo, hi, w = _candidates(pts, labels, index, a[sparse], b[sparse], threshold, metric, want)
+    taken, kruskal_labels = _kruskal(lo, hi, w, labels, want)
+    edges += zip(w[taken].tolist(), lo[taken].tolist(), hi[taken].tolist())
+    return edges, np.where(dense[cells], merged, kruskal_labels)
+
+
+def _duplicate_owner(pts, cells):
+    """For every position, the lowest position in its cell with equal
+    coordinates; None when no two positions can share coordinates."""
+    first = np.sort(pts[:, 0])
+    if not np.any(first[1:] == first[:-1]):
+        return None
+    # + 0.0 turns -0.0 into 0.0, so equal coordinates have equal bits
+    order, starts = _key_runs(np.column_stack((cells, (pts + 0.0).view(np.int64))))
+    owner = np.empty_like(order)
+    owner[order] = order[starts][np.cumsum(starts) - 1]
+    return owner
+
+
+def _merge(pts, labels, cells, threshold, side, metric, want):
+    """Kruskal within every cell over the pairs of two components at most
+    `threshold` apart, in (w, lo, hi) order, stopping after `want` edges.
+    Returns the edges as (w, lo, hi) in that order and the merged labels
+    (each the lowest label of its merged set).
+
+    Exact duplicates, and only they, are at distance 0 (up to l2 pairs so
+    close that every squared coordinate difference underflows), so
+    Kruskal first joins each to the lowest position in its cell with its
+    coordinates. After that no pair of a duplicate comes before the same
+    pair of that lowest position, and only distinct points go on.
+    """
+    owner = _duplicate_owner(pts, cells)
+    dup = () if owner is None else np.flatnonzero(owner != np.arange(len(pts)))
+    if not len(dup):
+        edges, merged = _merge_distinct(pts, labels, cells, threshold, side, metric, want)
+    else:
+        taken, labels = _kruskal(owner[dup], dup, np.zeros(len(dup)), labels, want)
+        keep = np.flatnonzero(owner == np.arange(len(pts)))
+        edges, merged = _merge_distinct(pts[keep], labels[keep], cells[keep], threshold,
+                                        side, metric, want - len(taken))
+        ids = keep.tolist()
+        edges = [(w, ids[lo], ids[hi]) for w, lo, hi in edges]
+        edges += [(0.0, lo, hi) for lo, hi in zip(owner[dup[taken]].tolist(),
+                                                  dup[taken].tolist())]
+        merged = merged[np.searchsorted(keep, owner)]
+    edges.sort()
+    return edges, merged
 
 
 def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
@@ -432,7 +514,7 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     (u, v, w) on global ids with u < v, in (w, u, v) order).
     """
     pts = ps.points[rep_ids]
-    m, d = pts.shape
+    d = pts.shape[1]
     n_cells = len(np.unique(cells))
     if math.isinf(level_diam):
         if n_cells > 1:
@@ -446,13 +528,8 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     want = len(np.unique(labels)) - n_cells
     if want == 0:
         edges, merged = [], labels
-    elif (math.isinf(threshold) and m > BRUTE_CAP and d <= GRID_MAX_DIM
-          and np.ptp(pts, axis=0).max() > 0):
-        edges, merged = _msf_grid(pts, labels, ps.metric)
     else:
-        lo, hi, w = _candidates(pts, labels, cells, threshold, side, ps.metric, want)
-        taken, merged = _kruskal(lo, hi, w, labels, want)
-        edges = zip(w[taken].tolist(), lo[taken].tolist(), hi[taken].tolist())
+        edges, merged = _merge(pts, labels, cells, threshold, side, ps.metric, want)
     cover = _covering(pts, cells, radius, ps.metric)
     ids = rep_ids.tolist()
     return (rep_ids[cover], merged[cover],

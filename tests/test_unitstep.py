@@ -260,15 +260,9 @@ def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam):
     assert edges, "the case should merge something"
 
 
-@pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
-def test_level_step_cells_match_oracle_kruskal(metric, ties, level_diam):
+def oracle_level_edges(ps, rep_ids, labels, cells, threshold):
     """Per cell, Kruskal over the cross-component pairs within the
     threshold; chains of weight -1 join each component first."""
-    ps, rep_ids, labels, cells = _level_input(metric, 21, ties)
-    eps = 0.3
-    threshold = eps * level_diam
-    _cover, _labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
-    got = sorted(edges)
     want = []
     for c in range(cells.max() + 1):
         ids = rep_ids[cells == c]
@@ -282,10 +276,84 @@ def test_level_step_cells_match_oracle_kruskal(metric, ties, level_diam):
             graph += [(u, v, w) for v, w, lab in zip(ids[i + 1:], ws, labs[i + 1:])
                       if lab != labs[i] and w <= threshold]
         want += [(u, v, w) for u, v, w in kruskal_edges(ps.n, graph) if w >= 0]
-    want.sort()
+    return sorted(want)
+
+
+def assert_same_edges(got, want):
+    got = sorted(got)
     assert [(u, v) for u, v, _ in got] == [(u, v) for u, v, _ in want]
     np.testing.assert_allclose([w for *_, w in got], [w for *_, w in want],
                                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
+def test_level_step_cells_match_oracle_kruskal(metric, ties, level_diam):
+    ps, rep_ids, labels, cells = _level_input(metric, 21, ties)
+    eps = 0.3
+    _cover, _labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
+    assert_same_edges(edges, oracle_level_edges(ps, rep_ids, labels, cells,
+                                                eps * level_diam))
+
+
+def group_labels(group):
+    """Labels that join the positions of each group, each the group's
+    lowest position."""
+    first = {}
+    for i, g in enumerate(group.tolist()):
+        first.setdefault(g, i)
+    return np.asarray([first[g] for g in group.tolist()], dtype=np.int64)
+
+
+def count_pair_distances(monkeypatch):
+    """Count the pair distances that level_step computes from here on."""
+    seen = [0]
+    pair_distances = unitstep.pair_distances
+
+    def counting(pts, u, v, metric):
+        seen[0] += len(u)
+        return pair_distances(pts, u, v, metric)
+
+    monkeypatch.setattr(unitstep, "pair_distances", counting)
+    return seen
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS)
+@pytest.mark.parametrize("level_diam", (4.0, math.inf))
+def test_level_step_duplicates_pair_only_distinct_points(monkeypatch, metric, level_diam):
+    # 600 points on the 27 sites of {0, 1, 2}^3 in one cell: Kruskal's
+    # edges, computed from pairs of the 27 distinct sites alone. Components
+    # span two sites, so the zero-weight edges join sites.
+    rng = np.random.default_rng(23)
+    pts = rng.integers(0, 3, (600, 3)).astype(float)
+    ps = PointSet(points=pts, metric=metric)
+    ids = np.arange(600, dtype=np.int64)
+    site = (pts @ [9.0, 3.0, 1.0]).astype(np.int64)
+    labels = group_labels(site // 2 * 3 + rng.integers(0, 3, 600))
+    cells = np.zeros(600, dtype=np.int64)
+    seen = count_pair_distances(monkeypatch)
+    _cover, merged, edges = level_step(ids, labels, cells, level_diam, 0.5, ps)
+    assert seen[0] <= 27 * 26 // 2
+    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, 0.5 * level_diam))
+    assert 0 < sum(w == 0.0 for *_, w in edges) < len(edges)
+    if math.isinf(level_diam):
+        assert len(np.unique(merged)) == 1
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS)
+def test_level_step_dense_cell_avoids_all_pairs(monkeypatch, metric):
+    # 700 points in one cell, with buckets of twice the threshold as wide
+    # as the points' spread, so bucketing cannot split them: the
+    # bucket-grid engine gives Kruskal's edges from a small share of the
+    # 244,650 pairs
+    ps = uniform_points(700, 3, seed=24, metric=metric)
+    ids = np.arange(700, dtype=np.int64)
+    labels = group_labels(np.random.default_rng(24).integers(0, 400, 700))
+    cells = np.zeros(700, dtype=np.int64)
+    level_diam = 3.0 if metric is Metric.L1 else 1.8
+    seen = count_pair_distances(monkeypatch)
+    _cover, _merged, edges = level_step(ids, labels, cells, level_diam, 0.3, ps)
+    assert 0 < seen[0] < 700 * 699 // 2 // 4
+    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, 0.3 * level_diam))
 
 
 def test_level_step_candidate_cut_keeps_edges(monkeypatch):
