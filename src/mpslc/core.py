@@ -74,24 +74,21 @@ def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric
 
 
 class UnionFind:
-    """Disjoint sets over integer ids, created on first use.
+    """Disjoint sets over the ids 0 .. n-1.
 
     Finds compress paths, and a union keeps the smaller of the two roots,
     so every root is the minimum id of its set.
     """
 
-    def __init__(self):
-        self.parent = {}
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
     def find(self, x: int) -> int:
         p = self.parent
-        root = p.get(x, x)
-        if root == x:
-            return x
-        up = p.get(root, root)
-        while up != root:
-            root, up = up, p.get(up, up)
-        while x != root:
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
             p[x], x = root, p[x]
         return root
 
@@ -100,16 +97,31 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
         return True
 
-    def relabel(self, labels: np.ndarray) -> np.ndarray:
-        """Each label replaced by the root of its set."""
-        uniq, inv = np.unique(labels, return_inverse=True)
-        roots = np.fromiter((self.find(int(v)) for v in uniq), dtype=np.int64,
-                            count=len(uniq))
-        return roots[inv]
+    def roots(self) -> np.ndarray:
+        """The root of every id, by pointer jumping over the parents."""
+        up = np.asarray(self.parent, dtype=np.int64)
+        while True:
+            jumped = up[up]
+            if np.array_equal(jumped, up):
+                return up
+            up = jumped
+
+
+def row_runs(keys: np.ndarray):
+    """Positions in stable lexicographic order of their rows of `keys`,
+    and a mask of the positions in that order that start a run of equal
+    rows; by stability each run starts at its lowest position."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order, starts
 
 
 @dataclass(frozen=True)

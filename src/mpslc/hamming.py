@@ -73,7 +73,7 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
         live = [(u, v) for u, v in cand if labels[u] != labels[v]]
         if not live:
             continue
-        uf = UnionFind()
+        uf = UnionFind(n)
         for u, v in live:
             if uf.union(int(labels[u]), int(labels[v])):
                 tree.append((u, v, float(t)))

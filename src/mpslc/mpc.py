@@ -172,10 +172,13 @@ class SpanningTree:
     edges: tuple
 
     def __post_init__(self):
-        uf = UnionFind()
+        uf = UnionFind(self.n_vertices)
         norm = []
         for u, v, w in self.edges:
             u, v = (int(u), int(v)) if u < v else (int(v), int(u))
+            if u < 0 or v >= self.n_vertices:
+                raise InputError(f"edge ({u},{v}) leaves the vertex range "
+                                 f"[0, {self.n_vertices})")
             if not uf.union(u, v):
                 raise InputError(f"edge ({u},{v}) closes a cycle")
             norm.append((u, v, float(w)))
@@ -261,7 +264,7 @@ def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
     chunk_words = 5 * min(m, chunk_edges) if m else 0
 
     labels = np.arange(n, dtype=np.int64)
-    uf = UnionFind()
+    uf = UnionFind(n)
     tree = []
     rounds = [RoundStats(machines_used=n_chunks, max_words_on_any_machine=chunk_words,
                          total_messages_words=3 * m, input_words=3 * m, kind=kind)]
@@ -283,7 +286,7 @@ def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
             if uf.union(int(labels[eu[k]]), int(labels[ev[k]])):
                 tree.append((int(eu[k]), int(ev[k]), float(ew[k])))
                 merged += 1
-        labels = uf.relabel(labels)
+        labels = uf.roots()[labels]
         cand_words = 3 * len(cand_rows)
         rounds.append(RoundStats(machines_used=n_chunks,
                                  max_words_on_any_machine=chunk_words,

@@ -27,6 +27,7 @@ from .core import (
     UnsupportedMetricError,
     Metric,
     derive_seed,
+    row_runs,
 )
 from .mpc import (
     MpcConfig,
@@ -144,7 +145,10 @@ def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) 
             level_diam = level_diameter(params.partition, level,
                                         params.partition.bbox_side)
         coords = coords_at_level(part, base[reps], level)
-        cell_coords, cells = np.unique(coords, axis=0, return_inverse=True)
+        order, starts = row_runs(coords)
+        cell_coords = coords[order[starts]]
+        cells = np.empty(len(order), dtype=np.int64)
+        cells[order] = np.cumsum(starts) - 1
         sizes = np.bincount(cells) * (d + 2)
         try:
             stats = run_level(sizes, params.mpc)
@@ -212,12 +216,12 @@ def k_slc_from_mst(tree: SpanningTree, k: int, ps: PointSet) -> Clustering:
     edges = list(tree.edges)
     keep, removed = edges[: n - k], edges[n - k:]
     objective = math.inf if k == 1 else float(removed[0][2])
-    uf = UnionFind()
+    uf = UnionFind(n)
     for u, v, _w in keep:
         uf.union(u, v)
     # roots are minimum member ids, so their ranks number the clusters in
     # order of first appearance
-    _, labels = np.unique(uf.relabel(np.arange(n)), return_inverse=True)
+    _, labels = np.unique(uf.roots(), return_inverse=True)
     return Clustering(k=k, labels=labels, objective=objective)
 
 

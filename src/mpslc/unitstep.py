@@ -12,19 +12,21 @@ summarized by an eps^2 * level_diam covering of its points plus the
 induced component labels on the covering.
 
 Exact duplicates join the lowest position in their cell with the same
-coordinates at weight 0 and take no further part. Candidate pairs of the distinct points
-are built in blocks of bounded memory: every pair of a cell, or, where
-the threshold is below the cell side in at most GRID_MAX_DIM dimensions,
-only pairs in neighbouring buckets of pitch at least twice the threshold.
-A cell with more candidate pairs per point than a BRUTE_CAP-point cell
-has, in at most GRID_MAX_DIM dimensions, runs bucket-grid accelerated
-Boruvka phases instead; so does the root, the unbounded cell of the last
-level, above BRUTE_CAP points. Both engines are exact, which trivially
+coordinates at weight 0 and take no further part. The distinct points
+go into one bucket grid per level, visited in Chebyshev shells r = 1,
+2, ...: shell 1 pairs the points of each bucket and of every two
+neighbouring buckets, shell r those of every two buckets r apart. After
+each shell Kruskal takes the pooled cross pairs that no later shell can
+undercut, and the rest stay pooled. At a pitch of twice the threshold
+one shell does; the root, which has no threshold, grows its shells until
+one component is left. Above GRID_MAX_DIM dimensions the bucket is the
+cell, paired in one shell. The engine is exact, which trivially
 satisfies the (1+eps)-approximate contract the caller relies on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -37,13 +39,15 @@ from .core import (
     UnionFind,
     UnsupportedMetricError,
     pair_distances,
+    row_runs,
 )
 
-BRUTE_CAP = 256
 GRID_MAX_DIM = 6
 # float64 values in one (pairs x d) block of gathered coordinates: 8 MB;
 # a block's distances hold four such arrays at once
 _BLOCK_VALUES = 1 << 20
+# buckets per point at the level's point spacing
+_BUCKETS_PER_POINT = 2
 
 
 def _covering_step(radius: float, dim: int, metric: Metric) -> float:
@@ -55,17 +59,6 @@ def _covering_step(radius: float, dim: int, metric: Metric) -> float:
     if metric is Metric.LINF:
         return radius
     raise UnsupportedMetricError("coverings are defined for L1, L2 and LINF only")
-
-
-def _key_runs(keys: np.ndarray):
-    """Positions in stable order of their rows of `keys`, and a mask of
-    the positions in that order that start a run of equal rows; by
-    stability each run starts at its lowest position."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    return order, starts
 
 
 def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric) -> np.ndarray:
@@ -81,7 +74,7 @@ def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric)
     else:
         # bit patterns: equal keys are equal coordinates
         keys = np.column_stack((cells, pts.view(np.int64)))
-    order, starts = _key_runs(keys)
+    order, starts = row_runs(keys)
     return np.sort(order[starts])
 
 
@@ -90,52 +83,99 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _pack_keys(cells: np.ndarray, mult: int, pad: int) -> np.ndarray:
-    keys = np.zeros(len(cells), dtype=np.int64)
-    for j in range(cells.shape[1]):
-        keys = keys * mult + (cells[:, j] + pad)
-    return keys
+@functools.lru_cache(maxsize=64)
+def _half_shell(r: int, dim: int) -> np.ndarray:
+    """Shell r: the integer offsets at Chebyshev distance r, or at most 1
+    for r = 1, that are zero or whose first nonzero coordinate is
+    positive, so each pair of buckets comes up in one shell and once."""
+    if dim == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    offs = np.indices((2 * r + 1,) * dim).reshape(dim, -1).T - r
+    if r > 1:
+        offs = offs[np.abs(offs).max(axis=1) == r]
+    first = offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)]
+    offs = offs[first >= 0]
+    offs.flags.writeable = False
+    return offs
 
 
-def _half_offsets(dim: int, mult: int) -> list:
-    """Packed-key offsets of a bucket itself (0) and of its neighbours in
-    half of the 3^d - 1 directions, so each neighbouring pair comes up once."""
-    weights = mult ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    return [0] + [int(np.dot(off, weights))
-                  for off in itertools.product((-1, 0, 1), repeat=dim)
-                  if next((c for c in off if c), 0) > 0]
+class _Grid:
+    """A level's points in one bucket grid, keys ascending: bucket k holds
+    positions members[starts[k]: starts[k] + counts[k]], ascending.
 
+    The key packs the cell with the floored offset from the cell's lowest
+    point, at one pitch for the whole level: 2 * threshold where that is
+    below the level's point spacing, and the spacing otherwise. At the
+    spacing, the cells' bounding cubes hold _BUCKETS_PER_POINT buckets
+    per point. Above GRID_MAX_DIM dimensions the bucket is the cell.
+    """
 
-class _Buckets:
-    """Positions grouped by packed integer key, keys ascending: bucket k
-    holds positions members[starts[k]: starts[k] + counts[k]], ascending."""
-
-    def __init__(self, keys: np.ndarray):
-        self.keys, inv = np.unique(keys, return_inverse=True)
+    def __init__(self, pts: np.ndarray, cells: np.ndarray, threshold: float):
+        dim = pts.shape[1] if pts.shape[1] <= GRID_MAX_DIM else 0
+        pts = pts[:, :dim]
+        n_cells = int(cells.max()) + 1
+        lo = np.full((n_cells, dim), np.inf)
+        hi = np.full((n_cells, dim), -np.inf)
+        np.minimum.at(lo, cells, pts)
+        np.maximum.at(hi, cells, pts)
+        extent = (hi - lo).max(axis=1, initial=0.0)
+        volume = float(np.sum(extent ** dim))
+        spacing = (volume / (_BUCKETS_PER_POINT * len(pts))) ** (1 / max(dim, 1))
+        # at most 2^20 buckets across a cell keep the floored offsets in range
+        pitch = max(min(2.0 * threshold, spacing), float(extent.max()) / 2 ** 20)
+        while True:
+            local = np.floor((pts - lo[cells]) / pitch).astype(np.int64)
+            span = int(local.max(initial=0))
+            # the last shell: all pairs within the threshold lie in it or
+            # nearer (see `bound`), and offsets up to it leave the cell
+            # and the other digits of a key alone
+            reach = max(1, span if threshold >= span * pitch
+                        else math.ceil(threshold / pitch + 0.5))
+            mult = span + 1 + 2 * reach
+            if n_cells * mult ** dim < 2 ** 62:
+                break
+            pitch *= 2.0
+        self.pitch, self.reach, self.dim = pitch, reach, dim
+        self.cells, self.n_cells = cells, n_cells
+        self.weights = mult ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self.keys, inv = np.unique(cells * mult ** dim + (local + reach) @ self.weights,
+                                   return_inverse=True)
         self.members = np.argsort(inv, kind="stable")
         self.counts = np.bincount(inv, minlength=len(self.keys))
         self.starts = np.cumsum(self.counts) - self.counts
+        self.bucket_cell = cells[self.members[self.starts]]
 
-    def lookup(self, probe: np.ndarray) -> np.ndarray:
-        """Bucket index per packed key, -1 where no bucket holds it."""
-        pos = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
-        return np.where(self.keys[pos] == probe, pos, -1)
+    def bound(self, r: int, threshold: float) -> float:
+        """Distance up to which every pair within `threshold` lies in
+        buckets at most r apart. Floored offsets more than r apart are
+        more than r - 1 pitches apart, so this holds at (r - 1/2) pitches
+        despite rounding, and at the threshold from the last shell on."""
+        return threshold if r >= self.reach else min(threshold, (r - 0.5) * self.pitch)
 
-    def links(self, offsets):
-        """Bucket pairs (a, b) whose keys differ by one of `offsets`; the
-        offset 0 links every bucket to itself."""
-        a, b = [], []
-        for off in offsets:
-            nb = self.lookup(self.keys + off)
-            hit = np.flatnonzero(nb >= 0)
-            a.append(hit)
-            b.append(nb[hit])
+    def links(self, r: int, labels: np.ndarray):
+        """Bucket pairs (a, b) of shell r, each once, in the cells that
+        still hold two components, leaving out a link whose two buckets
+        hold one and the same component."""
+        _, first = np.unique(labels, return_index=True)
+        live = np.bincount(self.cells[first], minlength=self.n_cells) > 1
+        src = np.flatnonzero(live[self.bucket_cell])
+        ordered = labels[self.members]
+        single = np.where(np.minimum.reduceat(ordered, self.starts)
+                          == np.maximum.reduceat(ordered, self.starts),
+                          ordered[self.starts], -1)
+        offs = _half_shell(r, self.dim) @ self.weights
+        step = max(1, _BLOCK_VALUES // len(offs))
+        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for k in range(0, len(src), step):
+            part = src[k:k + step]
+            probe = (self.keys[part][:, None] + offs).ravel()
+            pos = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
+            hit = np.flatnonzero(self.keys[pos] == probe)
+            ka, kb = part[hit // len(offs)], pos[hit]
+            apart = (single[ka] < 0) | (single[ka] != single[kb])
+            a.append(ka[apart])
+            b.append(kb[apart])
         return np.concatenate(a), np.concatenate(b)
-
-    def link_pairs(self, a, b) -> np.ndarray:
-        """Number of position pairs that each link yields."""
-        ca = self.counts[a]
-        return np.where(a == b, ca * (ca - 1) // 2, ca * self.counts[b])
 
     def pairs(self, a, b, max_pairs: int):
         """Position pairs of the links in blocks of about max_pairs: every
@@ -156,51 +196,6 @@ class _Buckets:
             lo = hi
 
 
-def _level_buckets(pts, cells, threshold, side):
-    """The level's positions in buckets, and the links (a, b) between the
-    buckets whose points can pair within `threshold`.
-
-    Unless buckets of pitch 2 * threshold (or 2^-20 of the cell side, if
-    larger) are narrower than the cell side in at most GRID_MAX_DIM
-    dimensions, the bucket is the cell, linked only to itself. Otherwise
-    the key packs the cell with the floored offset from the cell's lowest
-    point, and a bucket links to itself and to half of its 3^d
-    neighbours. A pitch of twice the threshold keeps every pair within it
-    in linked buckets despite rounding.
-    """
-    d = pts.shape[1]
-    # at most 2^20 buckets across a cell keep the floored offsets in range
-    pitch = max(2.0 * threshold, side / 2 ** 20)
-    if d > GRID_MAX_DIM or not 0 < pitch < side:
-        index = _Buckets(cells)
-        own = np.arange(len(index.keys))
-        return index, own, own
-    n_cells = int(cells.max()) + 1
-    lo = np.full((n_cells, d), np.inf)
-    np.minimum.at(lo, cells, pts)
-    rel = pts - lo[cells]
-    while True:
-        local = np.floor(rel / pitch).astype(np.int64)
-        mult = int(local.max()) + 3
-        if (n_cells + 1) * mult ** d < 2 ** 62:
-            break
-        pitch *= 2.0
-    index = _Buckets(_pack_keys(np.column_stack((cells, local)), mult, 1))
-    return (index, *index.links(_half_offsets(d, mult)))
-
-
-def _cross_pairs(pts, labels, index, a, b, threshold, metric):
-    """Blocks of position pairs lo < hi from the links (a, b), in two
-    components and at most `threshold` apart, with their distances."""
-    for u, v in index.pairs(a, b, max(1, _BLOCK_VALUES // pts.shape[1])):
-        cross = labels[u] != labels[v]
-        lo = np.minimum(u[cross], v[cross])
-        hi = np.maximum(u[cross], v[cross])
-        w = pair_distances(pts, lo, hi, metric)
-        near = w <= threshold
-        yield lo[near], hi[near], w[near]
-
-
 def _kruskal(lo, hi, w, labels, want):
     """Kruskal over candidate pairs in (w, lo, hi) order on the components
     of `labels`, stopping after `want` edges.
@@ -213,8 +208,8 @@ def _kruskal(lo, hi, w, labels, want):
     order = np.lexsort((hi, lo, w))
     comps, inv = np.unique(labels, return_inverse=True)
     a, b = inv[lo[order]], inv[hi[order]]
-    root = np.arange(len(comps))
-    uf = UnionFind()
+    uf = UnionFind(len(comps))
+    root = uf.roots()
     taken = []
     start, chunk = 0, max(64, 2 * want)
     while start < len(order) and len(taken) < want:
@@ -225,31 +220,33 @@ def _kruskal(lo, hi, w, labels, want):
                 taken.append(start + k)
                 if len(taken) == want:
                     break
-        touched = np.unique(np.concatenate((ra[live], rb[live])))
-        remap = np.arange(len(comps))
-        remap[touched] = [uf.find(int(t)) for t in touched]
-        root = remap[root]
+        root = uf.roots()
         start += chunk
         chunk *= 2
     return order[taken], comps[root[inv]]
 
 
 # candidate pairs kept before they are cut to their spanning forest; this
-# bounds a level's memory, as the engine choice bounds a cell's pair work
+# bounds a level's memory however many pairs its shells yield
 _MAX_KEPT = 1 << 20
 
 
-def _candidates(pts, labels, index, a, b, threshold, metric, want):
-    """The cross pairs of the links (a, b) within `threshold` as
-    (lo, hi, w). Whenever more than _MAX_KEPT accumulate they are cut to
+def _candidates(pts, labels, grid, a, b, threshold, metric, want, pool):
+    """`pool` and the cross pairs of the links (a, b) within `threshold`,
+    as (lo, hi, w). Whenever more than _MAX_KEPT accumulate they are cut to
     their minimum spanning forest, which keeps Kruskal's result: under a
     strict order no edge off the forest of a subset is in the forest of
     the whole."""
-    kept = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    size = 0
-    for block in _cross_pairs(pts, labels, index, a, b, threshold, metric):
-        kept.append(block)
-        size += len(block[0])
+    kept = [pool]
+    size = len(pool[0])
+    for u, v in grid.pairs(a, b, max(1, _BLOCK_VALUES // pts.shape[1])):
+        cross = labels[u] != labels[v]
+        lo = np.minimum(u[cross], v[cross])
+        hi = np.maximum(u[cross], v[cross])
+        w = pair_distances(pts, lo, hi, metric)
+        near = w <= threshold
+        kept.append((lo[near], hi[near], w[near]))
+        size += int(near.sum())
         if size > _MAX_KEPT:
             lo, hi, w = (np.concatenate(x) for x in zip(*kept))
             taken, _merged = _kruskal(lo, hi, w, labels, want)
@@ -257,201 +254,36 @@ def _candidates(pts, labels, index, a, b, threshold, metric, want):
     return tuple(np.concatenate(x) for x in zip(*kept))
 
 
-def _shell_offsets(r: int, dim: int) -> np.ndarray:
-    """Integer offsets at Chebyshev distance exactly r."""
-    offs = [o for o in itertools.product(range(-r, r + 1), repeat=dim)
-            if max(abs(c) for c in o) == r]
-    return np.asarray(offs, dtype=np.int64)
-
-
-class _GridIndex(_Buckets):
-    """Static bucket grid over a cell's points for exact cross-pair search."""
-
-    def __init__(self, pts: np.ndarray, metric: Metric):
-        self.pts = pts
-        self.metric = metric
-        m, d = pts.shape
-        lo = pts.min(axis=0)
-        self.extent = float((pts.max(axis=0) - lo).max())
-        self.pitch = self.extent / max(1.0, math.floor(m ** (1.0 / d)))
-        self.cells = np.floor((pts - lo) / self.pitch).astype(np.int64)
-        maxc = int(self.cells.max()) + 1
-        self.r_cap = maxc + 2
-        self.pad = self.r_cap + 2
-        self.mult = maxc + 2 * self.pad
-        super().__init__(_pack_keys(self.cells, self.mult, self.pad))
-        self._shells = {}
-
-    def shell(self, r: int) -> np.ndarray:
-        if r not in self._shells:
-            self._shells[r] = _shell_offsets(r, self.pts.shape[1])
-        return self._shells[r]
-
-    def neighborhood_pairs(self, threshold: float):
-        """Point pairs within the 3^d bucket neighbourhood and `threshold`,
-        in both directions, sorted by (weight, min id, max id)."""
-        a, b = self.links(_half_offsets(self.pts.shape[1], self.mult))
-        blocks = self.pairs(a, b, max(1, _BLOCK_VALUES // self.pts.shape[1]))
-        lo, hi = (np.concatenate(x) for x in zip(*blocks))
-        w = pair_distances(self.pts, lo, hi, self.metric)
-        near = w <= threshold
-        lo, hi, w = lo[near], hi[near], w[near]
-        u, v, w = np.concatenate((lo, hi)), np.concatenate((hi, lo)), np.tile(w, 2)
-        order = np.lexsort((np.tile(hi, 2), np.tile(lo, 2), w))
-        return u[order], v[order], w[order]
-
-
-def _better(key_a, key_b) -> bool:
-    """Total order on candidate edges: (weight, min id, max id)."""
-    return key_a is not None and (key_b is None or key_a < key_b)
-
-
-_RING_CHUNK = 20_000
-
-
-def _ring_pairs(grid: _GridIndex, subset: np.ndarray, r: int):
-    """Directed pairs from each subset point to every point in its
-    Chebyshev ring-r buckets, in (subset point, member) form."""
-    shell = grid.shell(r)
-    u_out, v_out = [], []
-    for k0 in range(0, len(subset), _RING_CHUNK):
-        part = subset[k0: k0 + _RING_CHUNK]
-        probe = (grid.cells[part][:, None, :] + shell[None, :, :]).reshape(-1, shell.shape[1])
-        nb = grid.lookup(_pack_keys(probe, grid.mult, grid.pad))
-        ok = nb >= 0
-        p_idx = np.repeat(part, len(shell))[ok]
-        buckets = nb[ok]
-        cnt = grid.counts[buckets]
-        total = int(cnt.sum())
-        if total == 0:
-            continue
-        g = np.repeat(np.arange(len(cnt)), cnt)
-        within = _ranks(cnt)
-        v_out.append(grid.members[grid.starts[buckets][g] + within])
-        u_out.append(p_idx[g])
-    if not u_out:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(u_out), np.concatenate(v_out)
-
-
-def _best_per_comp(labels, u, v, w, best: dict) -> None:
-    """Fold cross pairs into the per-component minima under (w, lo, hi)."""
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    order = np.lexsort((hi, lo, w))
-    comp = labels[u[order]]
-    uniq, first = np.unique(comp, return_index=True)
-    for c, f in zip(uniq, first):
-        k = order[f]
-        key = (float(w[k]), int(min(u[k], v[k])), int(max(u[k], v[k])))
-        if _better(key, best.get(int(c))):
-            best[int(c)] = key
-
-
-def _expand_pending(grid, labels_now, open_labels, best, bound):
-    """Vectorized ring expansion for components whose minimum cross edge is
-    not settled by the 3^d neighborhood: scan growing Chebyshev rings until
-    every component's best candidate beats the next ring's distance bound."""
-
-    def limit_of(c):
-        key = best.get(int(c))
-        return bound if key is None else min(bound, key[0])
-
-    pending = [int(c) for c in open_labels if grid.pitch <= limit_of(c)]
-    r = 2
-    while pending and r <= grid.r_cap:
-        plabels = np.asarray(sorted(pending), dtype=np.int64)
-        in_pending = np.isin(labels_now, plabels)
-        subset = np.flatnonzero(in_pending)
-        u, v = _ring_pairs(grid, subset, r)
-        if len(u):
-            cross = labels_now[u] != labels_now[v]
-            u, v = u[cross], v[cross]
-        if len(u):
-            w = pair_distances(grid.pts, u, v, grid.metric)
-            ok = w <= bound
-            _best_per_comp(labels_now, u[ok], v[ok], w[ok], best)
-        pending = [c for c in pending if r * grid.pitch <= limit_of(c)]
-        r += 1
-    if any(best.get(c) is None for c in pending) and math.isinf(bound):
-        raise RuntimeError("ring expansion exhausted the grid with pairs left")
-
-
-def _msf_grid(pts, labels, threshold, metric):
-    """Exact merge sequence up to `threshold` via Boruvka phases on a
-    bucket grid: a component without a cross pair within the threshold
-    closes. Returns the edges as (w, lo, hi) in that order and the merged
-    labels."""
-    grid = _GridIndex(pts, metric)
-    pair_u, pair_v, pair_w = grid.neighborhood_pairs(threshold)
-    uf = UnionFind()
-    labels_now = labels.copy()
-    closed_pt = np.zeros(len(labels), dtype=bool)
-    edges = []
-    max_phases = 2 * math.ceil(math.log2(max(2, len(labels)))) + 8
-    for _ in range(max_phases):
-        open_labels = np.unique(labels_now[~closed_pt])
-        if len(open_labels) <= 1:
-            break
-        rows = (labels_now[pair_u] != labels_now[pair_v]) & ~closed_pt[pair_u]
-        rows_idx = np.flatnonzero(rows)
-        best: dict = {}
-        comp_col = labels_now[pair_u[rows_idx]]
-        uniq, first = np.unique(comp_col, return_index=True)
-        for c, f in zip(uniq, first):
-            k = rows_idx[f]
-            best[int(c)] = (float(pair_w[k]),
-                            int(min(pair_u[k], pair_v[k])),
-                            int(max(pair_u[k], pair_v[k])))
-        _expand_pending(grid, labels_now, open_labels, best, threshold)
-        candidates = []
-        closing = []
-        for c in open_labels:
-            key = best.get(int(c))
-            if key is None or key[0] > threshold:
-                closing.append(int(c))
-            else:
-                candidates.append(key)
-        if closing:
-            closed_pt |= np.isin(labels_now, np.asarray(closing, dtype=np.int64))
-        merged_any = False
-        for w, lo, hi in sorted(set(candidates)):
-            if uf.union(int(labels_now[lo]), int(labels_now[hi])):
-                edges.append((w, lo, hi))
-                merged_any = True
-        if not merged_any:
-            break
-        labels_now = uf.relabel(labels_now)
-    return sorted(edges), labels_now
-
-
-def _merge_distinct(pts, labels, cells, threshold, side, metric, want):
+def _merge_distinct(pts, labels, cells, threshold, metric, want):
     """Kruskal's edges of every cell of distinct points, as (w, lo, hi),
-    and the merged labels. A cell whose candidate pairs would outnumber,
-    per point, those of a BRUTE_CAP-point cell runs the bucket-grid
-    Boruvka engine in at most GRID_MAX_DIM dimensions; the other cells
-    share one Kruskal over their candidates."""
-    index, a, b = _level_buckets(pts, cells, threshold, side)
-    link_cell = cells[index.members[index.starts[a]]]
-    n_cells = int(cells.max()) + 1
-    size = np.bincount(cells, minlength=n_cells)
-    pairs = np.bincount(link_cell, index.link_pairs(a, b), n_cells)
-    dense = (pairs > size * ((BRUTE_CAP - 1) / 2)) & (pts.shape[1] <= GRID_MAX_DIM)
+    and the merged labels.
+
+    Shell r of the level's grid pools the cross pairs of its bucket
+    pairs. Every pair within grid.bound(r) has then been pooled, so
+    Kruskal takes the pooled pairs up to that bound, continuing from the
+    components the earlier shells left, and the rest wait for a later
+    shell. The shells end at the threshold or once `want` edges are
+    taken.
+    """
+    if want == 0:
+        return [], labels
+    grid = _Grid(pts, cells, threshold)
+    pool = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     edges = []
-    merged = labels.copy()
-    by_cell = np.argsort(cells, kind="stable")
-    starts = np.cumsum(size) - size
-    for c in np.flatnonzero(dense).tolist():
-        pos = by_cell[starts[c]: starts[c] + size[c]]
-        cell_edges, cell_labels = _msf_grid(pts[pos], labels[pos], threshold, metric)
-        merged[pos] = cell_labels
-        edges += [(w, int(pos[lo]), int(pos[hi])) for w, lo, hi in cell_edges]
-        want -= len(np.unique(labels[pos])) - 1
-    sparse = ~dense[link_cell]
-    lo, hi, w = _candidates(pts, labels, index, a[sparse], b[sparse], threshold, metric, want)
-    taken, kruskal_labels = _kruskal(lo, hi, w, labels, want)
-    edges += zip(w[taken].tolist(), lo[taken].tolist(), hi[taken].tolist())
-    return edges, np.where(dense[cells], merged, kruskal_labels)
+    for r in itertools.count(1):
+        a, b = grid.links(r, labels)
+        lo, hi, w = _candidates(pts, labels, grid, a, b, threshold, metric, want, pool)
+        bound = grid.bound(r, threshold)
+        now = np.flatnonzero(w <= bound)
+        if len(now):
+            taken, labels = _kruskal(lo[now], hi[now], w[now], labels, want)
+            taken = now[taken]
+            edges += zip(w[taken].tolist(), lo[taken].tolist(), hi[taken].tolist())
+            want -= len(taken)
+        if want == 0 or bound >= threshold:
+            return edges, labels
+        later = (w > bound) & (labels[lo] != labels[hi])
+        pool = (lo[later], hi[later], w[later])
 
 
 def _duplicate_owner(pts, cells):
@@ -461,13 +293,13 @@ def _duplicate_owner(pts, cells):
     if not np.any(first[1:] == first[:-1]):
         return None
     # + 0.0 turns -0.0 into 0.0, so equal coordinates have equal bits
-    order, starts = _key_runs(np.column_stack((cells, (pts + 0.0).view(np.int64))))
+    order, starts = row_runs(np.column_stack((cells, (pts + 0.0).view(np.int64))))
     owner = np.empty_like(order)
     owner[order] = order[starts][np.cumsum(starts) - 1]
     return owner
 
 
-def _merge(pts, labels, cells, threshold, side, metric, want):
+def _merge(pts, labels, cells, threshold, metric, want):
     """Kruskal within every cell over the pairs of two components at most
     `threshold` apart, in (w, lo, hi) order, stopping after `want` edges.
     Returns the edges as (w, lo, hi) in that order and the merged labels
@@ -482,12 +314,12 @@ def _merge(pts, labels, cells, threshold, side, metric, want):
     owner = _duplicate_owner(pts, cells)
     dup = () if owner is None else np.flatnonzero(owner != np.arange(len(pts)))
     if not len(dup):
-        edges, merged = _merge_distinct(pts, labels, cells, threshold, side, metric, want)
+        edges, merged = _merge_distinct(pts, labels, cells, threshold, metric, want)
     else:
         taken, labels = _kruskal(owner[dup], dup, np.zeros(len(dup)), labels, want)
         keep = np.flatnonzero(owner == np.arange(len(pts)))
         edges, merged = _merge_distinct(pts[keep], labels[keep], cells[keep], threshold,
-                                        side, metric, want - len(taken))
+                                        metric, want - len(taken))
         ids = keep.tolist()
         edges = [(w, ids[lo], ids[hi]) for w, lo, hi in edges]
         edges += [(0.0, lo, hi) for lo, hi in zip(owner[dup[taken]].tolist(),
@@ -514,22 +346,19 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     (u, v, w) on global ids with u < v, in (w, u, v) order).
     """
     pts = ps.points[rep_ids]
-    d = pts.shape[1]
     n_cells = len(np.unique(cells))
     if math.isinf(level_diam):
         if n_cells > 1:
             raise InputError("an unbounded level runs one cell, the root")
-        threshold = side = radius = math.inf
+        threshold = radius = math.inf
     else:
         threshold = eps * level_diam
-        # the grid side whose cells have diameter level_diam: the cell side
-        side = _covering_step(level_diam, d, ps.metric)
         radius = eps * eps * level_diam
     want = len(np.unique(labels)) - n_cells
     if want == 0:
         edges, merged = [], labels
     else:
-        edges, merged = _merge(pts, labels, cells, threshold, side, ps.metric, want)
+        edges, merged = _merge(pts, labels, cells, threshold, ps.metric, want)
     cover = _covering(pts, cells, radius, ps.metric)
     ids = rep_ids.tolist()
     return (rep_ids[cover], merged[cover],

@@ -9,6 +9,7 @@ from mpslc.core import (
     PointSet,
     Seed,
     SparsePoint,
+    UnionFind,
     derive_seed,
     distance,
     pair_distances,
@@ -171,3 +172,12 @@ def test_seed_range():
         Seed(-1)
     with pytest.raises(InputError):
         Seed(2**64)
+
+
+def test_union_find_roots_are_minimum_ids():
+    uf = UnionFind(8)
+    assert uf.union(5, 3) and uf.union(7, 5) and uf.union(6, 2)
+    assert not uf.union(3, 7)
+    assert [uf.find(x) for x in range(8)] == [0, 1, 2, 3, 4, 3, 2, 3]
+    uf.union(3, 1)
+    assert uf.roots().tolist() == [0, 1, 2, 1, 4, 1, 2, 1]

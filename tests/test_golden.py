@@ -6,13 +6,15 @@ every trace round exactly, and the k = 2 and k = 10 cluster labels
 exactly against the values stored in `golden.json`. A change that is
 meant to keep outputs identical must pass this unchanged.
 
-The theorem-constant clouds keep all 300 points at the root cell, above
-`BRUTE_CAP`, so their root takes the bucket-grid engine; the d = 8 cloud
-takes the all-pairs engine everywhere; the practical-constant l1, l2 and
-linf clouds emit edges and shrink coverings on bounded levels, under a
-budget small enough that levels pack onto several machines. The integer
-cloud has exact duplicates: zero-weight edges, zero-extent cells and many
-tied distances on bounded levels.
+The theorem-constant clouds keep all their points up to the root cell,
+whose shells grow over the bucket grid until one component is left; in
+the clustered cloud they reach from cluster to cluster. The d = 8 cloud,
+above `GRID_MAX_DIM`, pairs all points of a cell in one pass everywhere.
+The practical-constant l1, l2 and linf clouds emit edges and shrink
+coverings on bounded levels, under a budget small enough that levels
+pack onto several machines. The integer cloud has exact duplicates:
+zero-weight edges, zero-extent cells and many tied distances on bounded
+levels.
 
 To re-record after a deliberate change of outputs:
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -44,6 +46,13 @@ def _int_cloud(n, d, metric, seed):
     return PointSet(points=pts, metric=metric)
 
 
+def _clustered_cloud(n, d, metric, seed, clusters=4, sd=0.01):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 1.0, (clusters, d))
+    pts = centers[rng.integers(0, clusters, n)] + rng.normal(0.0, sd, (n, d))
+    return PointSet(points=pts, metric=metric)
+
+
 def _grid_case(n, d, metric, seed, c=1.0, mpc=None, cloud=_cloud):
     ps = cloud(n, d, metric, seed)
     params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(seed), repetitions=2,
@@ -70,6 +79,8 @@ CASES = {
                                          mpc=MpcConfig(space_s=2000)),
     "l1-int-duplicates": lambda: _grid_case(300, 3, Metric.L1, 9, c=0.004,
                                             cloud=_int_cloud),
+    "l1-clustered-theorem": lambda: _grid_case(400, 3, Metric.L1, 10,
+                                               cloud=_clustered_cloud),
     "hamming-d6": lambda: _hamming_case(200, 6, 6),
 }
 

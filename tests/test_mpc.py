@@ -122,6 +122,12 @@ def test_spanning_tree_rejects_cycles():
         SpanningTree(n_vertices=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
 
 
+@pytest.mark.parametrize("edge", [(0, 3, 1.0), (-1, 2, 1.0), (7, 9, 1.0)])
+def test_spanning_tree_rejects_endpoint_outside_vertex_range(edge):
+    with pytest.raises(InputError, match="vertex range"):
+        SpanningTree(n_vertices=3, edges=((0, 1, 1.0), edge))
+
+
 def test_boruvka_path_graph():
     g = WeightedEdgeList.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     tree, trace = boruvka_mst(g, MpcConfig(space_s=256))

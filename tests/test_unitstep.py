@@ -182,8 +182,8 @@ def test_unit_step_covering_and_labels_consistent():
     assert len(labels) == len(cover)
 
 
-def test_unit_step_grid_path_matches_brute():
-    # above the brute cutoff the bucket engine must agree exactly
+def test_unit_step_root_matches_kruskal():
+    # a root of 600 points grows its shells until one component is left
     ps = uniform_points(600, 2, seed=13)
     _cover, _labels, edges = run_step(singletons(range(600)), math.inf, 0.0, ps)
     want = sorted(round(w, 12) for _, _, w in kruskal_points_mst(ps).edges)
@@ -200,8 +200,9 @@ def test_unit_step_duplicate_points_merge_at_zero():
 
 
 def test_unit_step_brute_engine_memory_bounded():
-    # d above GRID_MAX_DIM sends a 300-point root cell to the brute engine;
-    # a one-block distance tensor would need 2 x 300 x 300 x 100 floats
+    # d above GRID_MAX_DIM makes a 300-point root cell one bucket, paired
+    # in one pass; a one-block distance tensor would need 2 x 300 x 300 x
+    # 100 floats
     ps = uniform_points(300, 100, seed=15)
     tracemalloc.start()
     try:
@@ -213,10 +214,11 @@ def test_unit_step_brute_engine_memory_bounded():
     assert peak < 64 * 2**20
 
 
-def _level_input(metric, seed, ties):
+def _level_input(metric, seed, ties, root=False):
     """A level's reps, labels and cells: a random subset of a uniform or a
-    tie-heavy integer cloud, cut by a coarse grid into cells, with labels
-    that join random groups of points inside each cell."""
+    tie-heavy integer cloud, cut by a coarse grid into cells (one cell at
+    the root), with labels that join random groups of points inside each
+    cell."""
     rng = np.random.default_rng(seed)
     if ties:
         pts = rng.integers(0, 8, (400, 3)).astype(float) / 8.0
@@ -224,7 +226,7 @@ def _level_input(metric, seed, ties):
         pts = rng.uniform(0.0, 1.0, (400, 3))
     ps = PointSet(points=pts, metric=metric)
     rep_ids = np.sort(rng.choice(400, size=300, replace=False))
-    coarse = np.floor(pts[rep_ids] * 2.0)
+    coarse = np.floor(pts[rep_ids] * (0.0 if root else 2.0))
     _, cells = np.unique(coarse, axis=0, return_inverse=True)
     group = rng.integers(0, 40, len(rep_ids))
     labels = np.empty(len(rep_ids), dtype=np.int64)
@@ -236,12 +238,12 @@ def _level_input(metric, seed, ties):
 
 LEVEL_CASES = [(metric, ties, level_diam)
                for metric in FLOAT_METRICS for ties in (False, True)
-               for level_diam in (0.4, 2.5)]
+               for level_diam in (0.4, 2.5, math.inf)]
 
 
 @pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
 def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam):
-    ps, rep_ids, labels, cells = _level_input(metric, 20, ties)
+    ps, rep_ids, labels, cells = _level_input(metric, 20, ties, math.isinf(level_diam))
     eps = 0.3
     cover, cover_labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
     want_cover, want_labels, want_edges = [], [], []
@@ -288,7 +290,8 @@ def assert_same_edges(got, want):
 
 @pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
 def test_level_step_cells_match_oracle_kruskal(metric, ties, level_diam):
-    ps, rep_ids, labels, cells = _level_input(metric, 21, ties)
+    # the unbounded case is a root of 300 points
+    ps, rep_ids, labels, cells = _level_input(metric, 21, ties, math.isinf(level_diam))
     eps = 0.3
     _cover, _labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
     assert_same_edges(edges, oracle_level_edges(ps, rep_ids, labels, cells,
@@ -341,10 +344,9 @@ def test_level_step_duplicates_pair_only_distinct_points(monkeypatch, metric, le
 
 @pytest.mark.parametrize("metric", FLOAT_METRICS)
 def test_level_step_dense_cell_avoids_all_pairs(monkeypatch, metric):
-    # 700 points in one cell, with buckets of twice the threshold as wide
-    # as the points' spread, so bucketing cannot split them: the
-    # bucket-grid engine gives Kruskal's edges from a small share of the
-    # 244,650 pairs
+    # 700 points in one cell, with twice the threshold as wide as the
+    # points' spread: buckets at the point spacing and their shells give
+    # Kruskal's edges from a small share of the 244,650 pairs
     ps = uniform_points(700, 3, seed=24, metric=metric)
     ids = np.arange(700, dtype=np.int64)
     labels = group_labels(np.random.default_rng(24).integers(0, 400, 700))
@@ -387,3 +389,51 @@ def test_level_step_bounded_level_memory_bounded():
     assert edges and all(w <= eps * level_diam for _u, _v, w in edges)
     assert len(cover) == n
     assert peak < 16 * 2**20
+
+
+def clustered_points(n, metric, seed=25):
+    """n points in 8 Gaussian clusters of sd 0.01 around uniform centres."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 1.0, (8, 3))
+    pts = centres[rng.integers(0, 8, n)] + rng.normal(0.0, 0.01, (n, 3))
+    return PointSet(points=pts, metric=metric)
+
+
+def test_level_step_clustered_root_memory_bounded():
+    # the root's shells reach from cluster to cluster: the pairs between
+    # clusters are pooled and cut in blocks, never held at once
+    n = 3000
+    ps = clustered_points(n, Metric.L2)
+    ids = np.arange(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _cover, merged, edges = level_step(ids, ids, np.zeros(n, dtype=np.int64),
+                                           math.inf, 0.5, ps)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == n - 1 and len(np.unique(merged)) == 1
+    assert peak < 128 * 2**20
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS)
+def test_level_step_clustered_root_matches_oracle(metric):
+    n = 1000
+    ps = clustered_points(n, metric)
+    ids = np.arange(n, dtype=np.int64)
+    cells = np.zeros(n, dtype=np.int64)
+    _cover, _merged, edges = level_step(ids, ids, cells, math.inf, 0.5, ps)
+    assert_same_edges(edges, oracle_level_edges(ps, ids, ids, cells, math.inf))
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS)
+def test_level_step_tied_root_breaks_ties_by_ids(metric):
+    # 300 integer points in {0..3}^6 tie on most distances; among the
+    # many minimum trees the root must return Kruskal's in (w, lo, hi)
+    # order
+    pts = np.random.default_rng(26).integers(0, 4, (300, 6)).astype(float)
+    ps = PointSet(points=pts, metric=metric)
+    ids = np.arange(300, dtype=np.int64)
+    cells = np.zeros(300, dtype=np.int64)
+    _cover, _merged, edges = level_step(ids, ids, cells, math.inf, 0.5, ps)
+    assert_same_edges(edges, oracle_level_edges(ps, ids, ids, cells, math.inf))
