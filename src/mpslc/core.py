@@ -97,10 +97,8 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
+        lo, hi = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[hi] = lo
         return True
 
     def roots(self) -> np.ndarray:

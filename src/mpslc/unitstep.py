@@ -129,7 +129,7 @@ class _Grid:
             # the last shell: all pairs within the threshold lie in it or
             # nearer (see `bound`), and offsets up to it leave the cell
             # and the other digits of a key alone
-            reach = max(1, span if threshold >= span * pitch
+            reach = max(1, span if threshold > (span - 0.5) * pitch
                         else math.ceil(threshold / pitch + 0.5))
             mult = span + 1 + 2 * reach
             if n_cells * mult ** dim < 2 ** 62:

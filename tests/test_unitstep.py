@@ -182,8 +182,9 @@ def test_unit_step_covering_and_labels_consistent():
     assert len(labels) == len(cover)
 
 
-def test_unit_step_root_matches_kruskal():
-    # a root of 600 points grows its shells until one component is left
+def test_unit_step_grid_path_matches_brute():
+    # a root of 600 points grows its bucket shells until one component
+    # is left; its edges must equal the oracle's
     ps = uniform_points(600, 2, seed=13)
     _cover, _labels, edges = run_step(singletons(range(600)), math.inf, 0.0, ps)
     want = sorted(round(w, 12) for _, _, w in kruskal_points_mst(ps).edges)
