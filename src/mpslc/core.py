@@ -73,42 +73,52 @@ def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric
     return _reduce(pts[u], pts[v], metric, 1)
 
 
-class UnionFind:
-    """Disjoint sets over the ids 0 .. n-1.
+def spanning_forest(a, b, n: int):
+    """Kruskal's forest of the edges (a[k], b[k]) over the ids 0 .. n-1,
+    taken in index order, by Boruvka on arrays.
 
-    Finds compress paths, and a union keeps the smaller of the two roots,
-    so every root is the minimum id of its set.
+    Each phase every component takes its lowest-index cross edge. Of two
+    components that took the same edge the smaller is the root; every
+    other one hooks onto the far end of its edge, and pointer jumping
+    flattens the hooks. Index order is strict, so the forest is unique
+    and equals Kruskal's, and a phase at least halves the components that
+    have a cross edge.
+
+    Returns the indices of the taken edges in ascending order, every id's
+    label (the minimum id of its component) and the number of edges each
+    phase took.
     """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the sets of a and b; False when they were already one set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
-        return True
-
-    def roots(self) -> np.ndarray:
-        """The root of every id, by pointer jumping over the parents."""
-        up = np.asarray(self.parent, dtype=np.int64)
-        while True:
-            jumped = up[up]
-            if np.array_equal(jumped, up):
-                return up
-            up = jumped
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    m = len(a)
+    labels = np.arange(n, dtype=np.int64)
+    live = np.arange(m, dtype=np.int64)
+    taken, phases = [np.empty(0, dtype=np.int64)], []
+    while True:
+        la, lb = labels[a[live]], labels[b[live]]
+        cross = la != lb
+        live, la, lb = live[cross], la[cross], lb[cross]
+        if not len(live):
+            break
+        best = np.full(n, m, dtype=np.int64)
+        np.minimum.at(best, la, live)
+        np.minimum.at(best, lb, live)
+        comps = np.flatnonzero(best < m)
+        pick = best[comps]
+        ends = labels[a[pick]]
+        far = np.where(ends == comps, labels[b[pick]], ends)
+        root = (best[far] == pick) & (comps < far)
+        up = np.arange(n, dtype=np.int64)
+        up[comps] = np.where(root, comps, far)
+        while np.any(up[up[comps]] != up[comps]):
+            up[comps] = up[up[comps]]
+        low = np.arange(n, dtype=np.int64)
+        np.minimum.at(low, up[comps], comps)
+        labels = low[up[labels]]
+        # every edge taken is the pick of exactly one component that hooks
+        taken.append(pick[~root])
+        phases.append(len(taken[-1]))
+    return np.sort(np.concatenate(taken)), labels, phases
 
 
 def row_runs(keys: np.ndarray):

@@ -11,9 +11,11 @@ Duplicate points link at weight zero through the all-ones mask.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .core import InputError, Metric, PointSet, UnionFind
+from .core import InputError, Metric, PointSet, spanning_forest
 from .mpc import (
     MpcConfig,
     SpanningTree,
@@ -66,23 +68,24 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
     pts = _validated_int_points(ps)
     n, d = pts.shape
     aux, trace = build_auxiliary_graph(ps, cfg)
+    # build orders the edges by (u, v), and every class keeps that order
+    cols = np.asarray(aux.edges, dtype=np.float64).reshape(-1, 3)
+    eu, ev, ew = cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64), cols[:, 2]
     labels = np.arange(n, dtype=np.int64)
     tree = []
     for t in range(0, d + 1):
-        cand = sorted((u, v) for u, v, w in aux.edges if w == t)
-        live = [(u, v) for u, v in cand if labels[u] != labels[v]]
-        if not live:
+        cls = np.flatnonzero(ew == t)
+        live = cls[labels[eu[cls]] != labels[ev[cls]]]
+        if not len(live):
             continue
-        uf = UnionFind(n)
-        for u, v in live:
-            if uf.union(int(labels[u]), int(labels[v])):
-                tree.append((u, v, float(t)))
         uniq = np.unique(labels)
-        index = {int(l): i for i, l in enumerate(uniq)}
+        cu = np.searchsorted(uniq, labels[eu[live]])
+        cv = np.searchsorted(uniq, labels[ev[live]])
+        taken, _labels, _phases = spanning_forest(cu, cv, len(uniq))
+        tree += zip(eu[live[taken]].tolist(), ev[live[taken]].tolist(),
+                    itertools.repeat(float(t)))
         contracted = WeightedEdgeList.build(
-            len(uniq),
-            ((index[int(labels[u])], index[int(labels[v])], 0.0) for u, v in live),
-        )
+            len(uniq), zip(cu.tolist(), cv.tolist(), itertools.repeat(0.0)))
         cc_labels, tr = connected_components(contracted, cfg)
         trace.add_trace(tr)
         labels = uniq[cc_labels[np.searchsorted(uniq, labels)]]

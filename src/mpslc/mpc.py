@@ -11,7 +11,9 @@ existing machine has at least 2s/3 space available, which caps stored
 inputs at 2s/3 per machine and leaves s/3 of working space, and uses at
 most 3S/s + 1 machines for S total input words. A level round is
 accounted from its per-cell job sizes alone: the merge pass over all
-cells runs in `unitstep`, outside this module.
+cells runs in `unitstep`, outside this module. Boruvka and connectivity
+are likewise accounted by phase from the edge counts of one
+`core.spanning_forest` call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import CapacityError, InputError, UnionFind
+from .core import CapacityError, InputError, spanning_forest
 
 
 class MpcContractError(RuntimeError):
@@ -172,16 +174,17 @@ class SpanningTree:
     edges: tuple
 
     def __post_init__(self):
-        uf = UnionFind(self.n_vertices)
-        norm = []
-        for u, v, w in self.edges:
-            u, v = (int(u), int(v)) if u < v else (int(v), int(u))
+        norm = [(int(u), int(v), float(w)) if u < v else (int(v), int(u), float(w))
+                for u, v, w in self.edges]
+        for u, v, _w in norm:
             if u < 0 or v >= self.n_vertices:
                 raise InputError(f"edge ({u},{v}) leaves the vertex range "
                                  f"[0, {self.n_vertices})")
-            if not uf.union(u, v):
-                raise InputError(f"edge ({u},{v}) closes a cycle")
-            norm.append((u, v, float(w)))
+        ends = np.asarray([e[:2] for e in norm], dtype=np.int64).reshape(-1, 2)
+        taken, _labels, _phases = spanning_forest(ends[:, 0], ends[:, 1], self.n_vertices)
+        if len(taken) < len(norm):
+            u, v, _w = norm[int(np.setdiff1d(np.arange(len(norm)), taken)[0])]
+            raise InputError(f"edge ({u},{v}) closes a cycle")
         norm.sort(key=lambda e: (e[2], e[0], e[1]))
         object.__setattr__(self, "edges", tuple(norm))
 
@@ -240,10 +243,13 @@ def run_level(sizes, cfg: MpcConfig) -> RoundStats:
 
 
 def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
-    """Boruvka phases over g: per phase every component takes its minimum
-    cross edge under the total order (weight, u, v), merged until no cross
-    edge is left. Connectivity runs the same phases on zero weights and
-    gathers a label per vertex instead of the tree.
+    """Boruvka over g, accounted by phase: per phase every component takes
+    its minimum cross edge under the total order (weight, u, v), merged
+    until no cross edge is left. `core.spanning_forest` runs the phases on
+    the sorted edges; each phase is accounted as a scatter round of the
+    edges and a gather round of the edges it took. Connectivity runs the
+    same phases on zero weights and gathers a label per vertex instead of
+    the tree.
 
     Returns (tree edges, labels as minimum member ids, trace).
     """
@@ -259,35 +265,18 @@ def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
         ew = np.zeros(m, dtype=np.float64)
     order = np.lexsort((ev, eu, ew))
     eu, ev, ew = eu[order], ev[order], ew[order]
+    taken, labels, phases = spanning_forest(eu, ev, n)
+    if np.any(labels[eu] != labels[ev]):
+        raise MpcContractError("merging phases exhausted with components left")
+    tree = list(zip(eu[taken].tolist(), ev[taken].tolist(), ew[taken].tolist()))
     chunk_edges = max(1, s // 5)
     n_chunks = max(1, math.ceil(m / chunk_edges)) if m else 1
     chunk_words = 5 * min(m, chunk_edges) if m else 0
 
-    labels = np.arange(n, dtype=np.int64)
-    uf = UnionFind(n)
-    tree = []
     rounds = [RoundStats(machines_used=n_chunks, max_words_on_any_machine=chunk_words,
                          total_messages_words=3 * m, input_words=3 * m, kind=kind)]
-    guard = math.ceil(math.log2(max(2, n))) + 2
-    for _ in range(guard):
-        cu = labels[eu]
-        cv = labels[ev]
-        cross = np.flatnonzero(cu != cv)
-        if len(cross) == 0:
-            break
-        comp_col = np.empty(2 * len(cross), dtype=np.int64)
-        comp_col[0::2] = cu[cross]
-        comp_col[1::2] = cv[cross]
-        row_col = np.repeat(cross, 2)
-        _, first = np.unique(comp_col, return_index=True)
-        cand_rows = np.unique(row_col[first])
-        merged = 0
-        for k in cand_rows:
-            if uf.union(int(labels[eu[k]]), int(labels[ev[k]])):
-                tree.append((int(eu[k]), int(ev[k]), float(ew[k])))
-                merged += 1
-        labels = uf.roots()[labels]
-        cand_words = 3 * len(cand_rows)
+    for took in phases:
+        cand_words = 3 * took
         rounds.append(RoundStats(machines_used=n_chunks,
                                  max_words_on_any_machine=chunk_words,
                                  total_messages_words=cand_words,
@@ -297,10 +286,6 @@ def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
                                  max_words_on_any_machine=min(cand_words, s // 3) if cand_words else 0,
                                  total_messages_words=2 * n,
                                  input_words=cand_words, kind=kind))
-        if merged == 0:
-            break
-    if np.any(labels[eu] != labels[ev]):
-        raise MpcContractError("merging phases exhausted with components left")
     out_words = 3 * len(tree) if weighted else n
     rounds.append(RoundStats(machines_used=max(1, math.ceil(out_words / max(1, s // 3))),
                              max_words_on_any_machine=min(out_words, s // 3) if out_words else 0,

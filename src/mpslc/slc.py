@@ -23,11 +23,11 @@ from .core import (
     InputError,
     PointSet,
     Seed,
-    UnionFind,
     UnsupportedMetricError,
     Metric,
     derive_seed,
     row_runs,
+    spanning_forest,
 )
 from .mpc import (
     MpcConfig,
@@ -183,18 +183,15 @@ def approximate_mst(ps: PointSet, params: SlcParams):
         return SpanningTree(n_vertices=1, edges=()), trace
     if params.partition.bbox_side == 0.0:
         return _degenerate_tree(n), trace
-    union = {}
+    forests = []
     for rep in range(params.repetitions):
         forest = _one_repetition(ps, params, rep, trace)
         if len(forest) > n - 1:
             raise MpcContractError("a repetition emitted more than a forest")
-        for u, v, w in forest:
-            key = (u, v) if u < v else (v, u)
-            if key not in union or w < union[key]:
-                union[key] = w
-    if len(union) > params.repetitions * (n - 1):
+        forests += forest
+    graph = WeightedEdgeList.build(n, forests)
+    if len(graph.edges) > params.repetitions * (n - 1):
         raise MpcContractError("sparsifier exceeded repetitions * (n - 1) edges")
-    graph = WeightedEdgeList.build(n, ((u, v, w) for (u, v), w in union.items()))
     tree, btrace = boruvka_mst(graph, params.mpc)
     trace.add_trace(btrace)
     if tree.n_components != 1:
@@ -216,12 +213,11 @@ def k_slc_from_mst(tree: SpanningTree, k: int, ps: PointSet) -> Clustering:
     edges = list(tree.edges)
     keep, removed = edges[: n - k], edges[n - k:]
     objective = math.inf if k == 1 else float(removed[0][2])
-    uf = UnionFind(n)
-    for u, v, _w in keep:
-        uf.union(u, v)
+    ends = np.asarray([e[:2] for e in keep], dtype=np.int64).reshape(-1, 2)
+    _taken, roots, _phases = spanning_forest(ends[:, 0], ends[:, 1], n)
     # roots are minimum member ids, so their ranks number the clusters in
     # order of first appearance
-    _, labels = np.unique(uf.roots(), return_inverse=True)
+    _, labels = np.unique(roots, return_inverse=True)
     return Clustering(k=k, labels=labels, objective=objective)
 
 

@@ -7,7 +7,7 @@ edges therefore equal Kruskal's over the cell's cross-component pairs not
 longer than the threshold, in (weight, min id, max id) order. Cells nest
 and components only grow inside cells, so no component spans two cells
 of a level, and one Kruskal over the pairs of every cell, on one
-union-find, yields each cell's edges at once. A finished cell is
+spanning forest, yields each cell's edges at once. A finished cell is
 summarized by an eps^2 * level_diam covering of its points plus the
 induced component labels on the covering.
 
@@ -36,10 +36,10 @@ from .core import (
     InputError,
     Metric,
     PointSet,
-    UnionFind,
     UnsupportedMetricError,
     pair_distances,
     row_runs,
+    spanning_forest,
 )
 
 GRID_MAX_DIM = 6
@@ -196,34 +196,15 @@ class _Grid:
             lo = hi
 
 
-def _kruskal(lo, hi, w, labels, want):
+def _kruskal(lo, hi, w, labels):
     """Kruskal over candidate pairs in (w, lo, hi) order on the components
-    of `labels`, stopping after `want` edges.
-
-    Candidates go in chunks of doubling length; a chunk first drops, in
-    one array pass, the pairs whose components were joined before it.
-    Returns the indices of the taken pairs in that order and the merged
-    labels (each the lowest label of its merged set).
+    of `labels`. Returns the indices of the taken pairs in that order and
+    the merged labels (each the lowest label of its merged set).
     """
     order = np.lexsort((hi, lo, w))
     comps, inv = np.unique(labels, return_inverse=True)
-    a, b = inv[lo[order]], inv[hi[order]]
-    uf = UnionFind(len(comps))
-    root = uf.roots()
-    taken = []
-    start, chunk = 0, max(64, 2 * want)
-    while start < len(order) and len(taken) < want:
-        ra, rb = root[a[start:start + chunk]], root[b[start:start + chunk]]
-        live = np.flatnonzero(ra != rb)
-        for k, x, y in zip(live.tolist(), ra[live].tolist(), rb[live].tolist()):
-            if uf.union(x, y):
-                taken.append(start + k)
-                if len(taken) == want:
-                    break
-        root = uf.roots()
-        start += chunk
-        chunk *= 2
-    return order[taken], comps[root[inv]]
+    taken, roots, _phases = spanning_forest(inv[lo[order]], inv[hi[order]], len(comps))
+    return order[taken], comps[roots[inv]]
 
 
 # candidate pairs kept before they are cut to their spanning forest; this
@@ -231,7 +212,7 @@ def _kruskal(lo, hi, w, labels, want):
 _MAX_KEPT = 1 << 20
 
 
-def _candidates(pts, labels, grid, a, b, threshold, metric, want, pool):
+def _candidates(pts, labels, grid, a, b, threshold, metric, pool):
     """`pool` and the cross pairs of the links (a, b) within `threshold`,
     as (lo, hi, w). Whenever more than _MAX_KEPT accumulate they are cut to
     their minimum spanning forest, which keeps Kruskal's result: under a
@@ -249,7 +230,7 @@ def _candidates(pts, labels, grid, a, b, threshold, metric, want, pool):
         size += int(near.sum())
         if size > _MAX_KEPT:
             lo, hi, w = (np.concatenate(x) for x in zip(*kept))
-            taken, _merged = _kruskal(lo, hi, w, labels, want)
+            taken, _merged = _kruskal(lo, hi, w, labels)
             kept, size = [(lo[taken], hi[taken], w[taken])], len(taken)
     return tuple(np.concatenate(x) for x in zip(*kept))
 
@@ -272,11 +253,11 @@ def _merge_distinct(pts, labels, cells, threshold, metric, want):
     edges = []
     for r in itertools.count(1):
         a, b = grid.links(r, labels)
-        lo, hi, w = _candidates(pts, labels, grid, a, b, threshold, metric, want, pool)
+        lo, hi, w = _candidates(pts, labels, grid, a, b, threshold, metric, pool)
         bound = grid.bound(r, threshold)
         now = np.flatnonzero(w <= bound)
         if len(now):
-            taken, labels = _kruskal(lo[now], hi[now], w[now], labels, want)
+            taken, labels = _kruskal(lo[now], hi[now], w[now], labels)
             taken = now[taken]
             edges += zip(w[taken].tolist(), lo[taken].tolist(), hi[taken].tolist())
             want -= len(taken)
@@ -316,7 +297,7 @@ def _merge(pts, labels, cells, threshold, metric, want):
     if not len(dup):
         edges, merged = _merge_distinct(pts, labels, cells, threshold, metric, want)
     else:
-        taken, labels = _kruskal(owner[dup], dup, np.zeros(len(dup)), labels, want)
+        taken, labels = _kruskal(owner[dup], dup, np.zeros(len(dup)), labels)
         keep = np.flatnonzero(owner == np.arange(len(pts)))
         edges, merged = _merge_distinct(pts[keep], labels[keep], cells[keep], threshold,
                                         metric, want - len(taken))

@@ -9,14 +9,15 @@ from mpslc.core import (
     PointSet,
     Seed,
     SparsePoint,
-    UnionFind,
     derive_seed,
     distance,
     pair_distances,
     rng_stream,
     sparse_distance,
+    spanning_forest,
 )
 from mpslc.hardness import GraphInstance, gen_cycle_vectors
+from mpslc.oracle import kruskal_edges
 
 from conftest import FLOAT_METRICS
 
@@ -174,10 +175,21 @@ def test_seed_range():
         Seed(2**64)
 
 
-def test_union_find_roots_are_minimum_ids():
-    uf = UnionFind(8)
-    assert uf.union(5, 3) and uf.union(7, 5) and uf.union(6, 2)
-    assert not uf.union(3, 7)
-    assert [uf.find(x) for x in range(8)] == [0, 1, 2, 3, 4, 3, 2, 3]
-    uf.union(3, 1)
-    assert uf.roots().tolist() == [0, 1, 2, 1, 4, 1, 2, 1]
+def test_spanning_forest_matches_oracle_kruskal():
+    rng = np.random.default_rng(11)
+    cases = [(1, 0), (1, 3), (5, 0)]
+    cases += [(int(rng.integers(2, 40)), int(rng.integers(0, 80))) for _ in range(200)]
+    for n, m in cases:
+        # m < n leaves ids isolated; repeated draws give self-loops and
+        # parallel edges
+        a = rng.integers(0, n, m)
+        b = rng.integers(0, n, m)
+        taken, labels, phases = spanning_forest(a, b, n)
+        oracle = kruskal_edges(n, [(a[k], b[k], k) for k in range(m)])
+        assert taken.tolist() == sorted(int(w) for _u, _v, w in oracle)
+        # the labels are the oracle forest's components, named by minimum id
+        assert all(labels[u] == labels[v] for u, v, _w in oracle)
+        assert len(np.unique(labels)) == n - len(oracle)
+        assert all(labels[x] == np.flatnonzero(labels == labels[x])[0] for x in range(n))
+        assert sum(phases) == len(taken)
+        assert len(phases) <= math.ceil(math.log2(n))

@@ -118,7 +118,7 @@ def test_edge_list_validation():
 
 
 def test_spanning_tree_rejects_cycles():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"\(0,2\) closes a cycle"):
         SpanningTree(n_vertices=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
 
 
