@@ -68,9 +68,27 @@ def distance(u, v, metric: Metric) -> float:
     return float(_reduce(a, b, metric, -1)) if a.size else 0.0
 
 
+# float64 values in one chunk of `pair_distances`' gathered endpoints:
+# 256 KB, so a chunk's two endpoint blocks stay in a core's L2 cache
+_CHUNK = 1 << 15
+
+
 def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric) -> np.ndarray:
-    """Distances between rows pts[u[k]] and pts[v[k]] for every k."""
-    return _reduce(pts[u], pts[v], metric, 1)
+    """Distances between rows pts[u[k]] and pts[v[k]] for every k, made
+    in place chunk by chunk and reduced along each row into the output:
+    the operations of `_reduce`, so every distance is bit for bit the same."""
+    out = np.empty(len(u))
+    step = max(1, _CHUNK // pts.shape[1])
+    for k in range(0, len(u), step):
+        d, e = pts[u[k:k + step]], pts[v[k:k + step]]
+        if metric is Metric.L0:
+            np.not_equal(d, e, out=d)
+        elif metric is Metric.L2:
+            np.square(np.subtract(d, e, out=d), out=d)
+        else:
+            np.abs(np.subtract(d, e, out=d), out=d)
+        (np.max if metric is Metric.LINF else np.sum)(d, axis=1, out=out[k:k + step])
+    return np.sqrt(out, out=out) if metric is Metric.L2 else out
 
 
 def spanning_forest(a, b, n: int):
@@ -122,14 +140,39 @@ def spanning_forest(a, b, n: int):
 
 
 def row_runs(keys: np.ndarray):
-    """Positions in stable lexicographic order of their rows of `keys`,
-    and a mask of the positions in that order that start a run of equal
-    rows; by stability each run starts at its lowest position."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    return order, starts
+    """Positions in stable lexicographic order of their rows of the int64
+    array `keys`, and a mask of the positions in that order that start a
+    run of equal rows; by stability each run starts at its lowest position.
+    Columns are packed into words by mixed radix from their minima while
+    the product of their ranges stays below 2^63; the sort stops at the
+    first 1, 2, 4, ... words that tell all rows apart, as the full order
+    refines theirs."""
+    n = len(keys)
+    if n < 2:
+        return np.arange(n), np.ones(n, dtype=bool)
+    lo = keys.min(axis=0)
+    # in uint64, as the bit patterns of floats can span more than 2^63
+    span = keys.max(axis=0).astype(np.uint64) - lo.astype(np.uint64)
+    radix = [r + 1 for r in span.tolist()]
+    groups, size = [], 2**63
+    for j, r in enumerate(radix):
+        if size * r >= 2**63:
+            groups.append([])
+            size = 1
+        groups[-1].append(j)
+        size *= r
+    words, p = [], 1
+    while True:
+        for g in groups[len(words):p]:
+            scale = np.cumprod([1] + [radix[j] for j in g[:0:-1]])[::-1]
+            words.append((keys[:, g] - lo[g]) @ scale if len(g) > 1 else keys[:, g[0]])
+        order = np.lexsort(words[::-1])
+        ordered = np.stack(words)[:, order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+        if len(words) == len(groups) or starts.all():
+            return order, starts
+        p *= 2
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ from .core import (
 )
 
 GRID_MAX_DIM = 6
-# float64 values in one (pairs x d) block of gathered coordinates: 8 MB;
-# a block's distances hold four such arrays at once
+# bucket probes, or candidate pairs x d, in one block; `pair_distances`
+# gathers coordinates in chunks, so a block of pairs holds their indices
 _BLOCK_VALUES = 1 << 20
 # buckets per point at the level's point spacing
 _BUCKETS_PER_POINT = 2
@@ -66,14 +66,14 @@ def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric)
     and key. The key is the floored grid coordinates at a pitch whose
     cells have diameter at most `radius`, the exact coordinates when the
     radius is 0, and nothing when it is infinite."""
+    if radius == 0:
+        owner, ids = _duplicate_owner(pts, cells), np.arange(len(pts))
+        return ids if owner is None else np.flatnonzero(owner == ids)
     if math.isinf(radius):
         keys = cells[:, None]
-    elif radius > 0:
+    else:
         step = _covering_step(radius, pts.shape[1], metric)
         keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
-    else:
-        # bit patterns: equal keys are equal coordinates
-        keys = np.column_stack((cells, pts.view(np.int64)))
     order, starts = row_runs(keys)
     return np.sort(order[starts])
 

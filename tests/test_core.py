@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mpslc.core import (
+    _CHUNK,
     InputError,
     Metric,
     PointSet,
@@ -11,8 +13,10 @@ from mpslc.core import (
     SparsePoint,
     derive_seed,
     distance,
+    _reduce,
     pair_distances,
     rng_stream,
+    row_runs,
     sparse_distance,
     spanning_forest,
 )
@@ -157,6 +161,89 @@ def test_pair_distances_agree_with_scalar():
             assert got[k] == pytest.approx(
                 distance(pts[u[k]], pts[v[k]], metric), abs=1e-12
             )
+
+
+ALL_METRICS = (Metric.L0, Metric.L1, Metric.L2, Metric.LINF)
+
+
+@pytest.mark.parametrize("d", [1, 3, 192, _CHUNK + 5])
+def test_pair_distances_equal_one_unchunked_reduction(d):
+    # lengths around the chunk of _CHUNK // d pairs, and a d wider than a
+    # chunk, give the weights of one reduction over all pairs, bit for bit
+    step = max(1, _CHUNK // d)
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(40, d))
+    pts[rng.random(pts.shape) < 0.3] = 0.5
+    for m in (0, 1, step - 1, step, step + 1, 3 * step + 2):
+        u, v = rng.integers(0, 40, (2, m))
+        for metric in ALL_METRICS:
+            got = pair_distances(pts, u, v, metric)
+            want = _reduce(pts[u], pts[v], metric, 1)
+            assert got.dtype == np.float64 and got.shape == (m,)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_pair_distances_memory_bounded():
+    # one gathered endpoint block of 50k pairs at d = 192 is 77 MB
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(400, 192))
+    u, v = rng.integers(0, 400, (2, 50_000))
+    tracemalloc.start()
+    try:
+        for metric in ALL_METRICS:
+            pair_distances(pts, u, v, metric)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def lexsort_runs(keys):
+    """row_runs by one lexsort over every column."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order, starts
+
+
+def random_column(rng, n):
+    """Small ranges with ties, full int64 draws, int64 extremes, float bit
+    patterns (signed zeros among them) or a constant."""
+    lim = np.iinfo(np.int64)
+    kind = rng.integers(0, 5)
+    if kind == 0:
+        return rng.integers(-3, 3, n)
+    if kind == 1:
+        return rng.integers(lim.min, lim.max, n, endpoint=True)
+    if kind == 2:
+        return rng.choice([lim.min, lim.max, 0], n)
+    if kind == 3:
+        floats = [-1.5, -0.0, 0.0, 0.25, 1e300, -1e-300, rng.normal()]
+        return rng.choice(floats, n).view(np.int64)
+    return np.full(n, rng.integers(-10, 10))
+
+
+def test_row_runs_matches_one_full_lexsort():
+    rng = np.random.default_rng(12)
+    cases = [np.empty((0, 3), np.int64), np.empty((0, 1), np.int64),
+             np.zeros((1, 4), np.int64), rng.integers(-5, 5, (30, 1)),
+             np.full((20, 6), 7, np.int64),
+             rng.integers(0, 3, (400, 193)),
+             rng.normal(size=(400, 193)).view(np.int64),
+             rng.integers(0, 2, (400, 193))[rng.integers(0, 50, 400)]]
+    for _ in range(3000):
+        n, d = int(rng.integers(0, 40)), int(rng.integers(1, 9))
+        keys = np.column_stack([random_column(rng, n) for _ in range(d)])
+        if rng.random() < 0.5:
+            # repeated rows
+            keys = keys[rng.integers(0, max(1, n // 3), n)] if n else keys
+        cases.append(keys.astype(np.int64))
+    for keys in cases:
+        order, starts = row_runs(keys)
+        want_order, want_starts = lexsort_runs(keys)
+        assert order.tolist() == want_order.tolist()
+        assert starts.dtype == bool and starts.tolist() == want_starts.tolist()
 
 
 def test_point_set_validation():

@@ -8,8 +8,9 @@ meant to keep outputs identical must pass this unchanged.
 
 The theorem-constant clouds keep all their points up to the root cell,
 whose shells grow over the bucket grid until one component is left; in
-the clustered cloud they reach from cluster to cluster. The d = 8 cloud,
-above `GRID_MAX_DIM`, pairs all points of a cell in one pass everywhere.
+the clustered cloud they reach from cluster to cluster; the d = 5 l1
+cloud grows them over a 5-d grid. The d = 8 l2 and d = 12 linf clouds,
+above `GRID_MAX_DIM`, pair all points of a cell in one pass everywhere.
 The practical-constant l1, l2 and linf clouds emit edges and shrink
 coverings on bounded levels, under a budget small enough that levels
 pack onto several machines. The integer cloud has exact duplicates:
@@ -82,6 +83,8 @@ CASES = {
     "l1-clustered-theorem": lambda: _grid_case(400, 3, Metric.L1, 10,
                                                cloud=_clustered_cloud),
     "hamming-d6": lambda: _hamming_case(200, 6, 6),
+    "l1-d5-theorem": lambda: _grid_case(300, 5, Metric.L1, 11),
+    "linf-d12-theorem": lambda: _grid_case(200, 12, Metric.LINF, 12),
 }
 
 

@@ -200,6 +200,15 @@ def test_unit_step_duplicate_points_merge_at_zero():
     assert len(cover) == 2
 
 
+def test_unit_step_radius_zero_covering_joins_signed_zeros():
+    # 0.0 and -0.0 are the same coordinate: the points join at weight 0,
+    # and the exact covering keeps one of them
+    ps = PointSet(points=np.array([[0.0, 1.0], [-0.0, 1.0]]), metric=Metric.L2)
+    cover, _labels, edges = run_step(singletons(range(2)), 1.0, 0.0, ps)
+    assert edges == [(0, 1, 0.0)]
+    assert cover == [0]
+
+
 def test_unit_step_brute_engine_memory_bounded():
     # d above GRID_MAX_DIM makes a 300-point root cell one bucket, paired
     # in one pass; a one-block distance tensor would need 2 x 300 x 300 x
@@ -215,16 +224,16 @@ def test_unit_step_brute_engine_memory_bounded():
     assert peak < 64 * 2**20
 
 
-def _level_input(metric, seed, ties, root=False):
+def _level_input(metric, seed, ties, root=False, dim=3):
     """A level's reps, labels and cells: a random subset of a uniform or a
     tie-heavy integer cloud, cut by a coarse grid into cells (one cell at
     the root), with labels that join random groups of points inside each
     cell."""
     rng = np.random.default_rng(seed)
     if ties:
-        pts = rng.integers(0, 8, (400, 3)).astype(float) / 8.0
+        pts = rng.integers(0, 8, (400, dim)).astype(float) / 8.0
     else:
-        pts = rng.uniform(0.0, 1.0, (400, 3))
+        pts = rng.uniform(0.0, 1.0, (400, dim))
     ps = PointSet(points=pts, metric=metric)
     rep_ids = np.sort(rng.choice(400, size=300, replace=False))
     coarse = np.floor(pts[rep_ids] * (0.0 if root else 2.0))
@@ -237,14 +246,16 @@ def _level_input(metric, seed, ties, root=False):
     return ps, rep_ids, labels, cells
 
 
-LEVEL_CASES = [(metric, ties, level_diam)
+LEVEL_CASES = [pytest.param(metric, ties, level_diam, 3, id=f"{metric}-{ties}-{level_diam}")
                for metric in FLOAT_METRICS for ties in (False, True)
                for level_diam in (0.4, 2.5, math.inf)]
+# a tied 5-d root: Chebyshev shells of thousands of offsets
+LEVEL_CASES.append(pytest.param(Metric.L2, True, math.inf, 5, id="Metric.L2-True-inf-d5"))
 
 
-@pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
-def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam):
-    ps, rep_ids, labels, cells = _level_input(metric, 20, ties, math.isinf(level_diam))
+@pytest.mark.parametrize("metric,ties,level_diam,dim", LEVEL_CASES)
+def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam, dim):
+    ps, rep_ids, labels, cells = _level_input(metric, 20, ties, math.isinf(level_diam), dim)
     eps = 0.3
     cover, cover_labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
     want_cover, want_labels, want_edges = [], [], []
@@ -289,10 +300,10 @@ def assert_same_edges(got, want):
                                rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("metric,ties,level_diam", LEVEL_CASES)
-def test_level_step_cells_match_oracle_kruskal(metric, ties, level_diam):
+@pytest.mark.parametrize("metric,ties,level_diam,dim", LEVEL_CASES)
+def test_level_step_cells_match_oracle_kruskal(metric, ties, level_diam, dim):
     # the unbounded case is a root of 300 points
-    ps, rep_ids, labels, cells = _level_input(metric, 21, ties, math.isinf(level_diam))
+    ps, rep_ids, labels, cells = _level_input(metric, 21, ties, math.isinf(level_diam), dim)
     eps = 0.3
     _cover, _labels, edges = level_step(rep_ids, labels, cells, level_diam, eps, ps)
     assert_same_edges(edges, oracle_level_edges(ps, rep_ids, labels, cells,
