@@ -11,17 +11,17 @@ Duplicate points link at weight zero through the all-ones mask.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .core import InputError, Metric, PointSet, spanning_forest
+from .core import InputError, Metric, PointSet, row_runs, spanning_forest
 from .mpc import (
+    EDGE,
     MpcConfig,
     SpanningTree,
     WeightedEdgeList,
     connected_components,
     distributed_sort,
+    edge_array,
     merge_parallel,
 )
 from .slc import Clustering, k_slc_from_mst
@@ -41,25 +41,25 @@ def _validated_int_points(ps: PointSet) -> np.ndarray:
 
 
 def build_auxiliary_graph(ps: PointSet, cfg: MpcConfig):
-    """All mask-projected sort links, one distributed sort per mask in parallel.
+    """All mask-projected sort links, one distributed sort per mask in
+    parallel: consecutive positions inside a run of equal projections, in
+    the runs' stable order.
 
     Returns the links as a WeightedEdgeList (the lightest weight per pair)
     and the merged trace of the sorts.
     """
     pts = _validated_int_points(ps)
     n, d = pts.shape
-    raw = []
+    links = []
     traces = []
     for mask in range(1 << d):
         cols = [j for j in range(d) if (mask >> j) & 1]
-        weight = d - len(cols)
-        items = list(zip(map(tuple, pts[:, cols].tolist()), range(n)))
-        ordered, tr = distributed_sort(items, cfg)
-        traces.append(tr)
-        for a, b in zip(ordered, ordered[1:]):
-            if a[0] == b[0]:
-                raw.append((a[1], b[1], weight))
-    return WeightedEdgeList.build(n, raw), merge_parallel(traces)
+        traces.append(distributed_sort(n, len(cols), cfg))
+        # the empty mask gives every point one and the same key
+        order, starts = row_runs(pts[:, cols] if cols else np.zeros((n, 1), np.int64))
+        inside = ~starts[1:]
+        links.append(edge_array(order[:-1][inside], order[1:][inside], float(d - len(cols))))
+    return WeightedEdgeList.build(n, np.concatenate(links)), merge_parallel(traces)
 
 
 def hamming_mst(ps: PointSet, cfg: MpcConfig):
@@ -68,33 +68,30 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
     pts = _validated_int_points(ps)
     n, d = pts.shape
     aux, trace = build_auxiliary_graph(ps, cfg)
-    # build orders the edges by (u, v), and every class keeps that order
-    cols = np.asarray(aux.edges, dtype=np.float64).reshape(-1, 3)
-    eu, ev, ew = cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64), cols[:, 2]
+    # the edges ascend by (u, v), and every class keeps that order
+    eu, ev, ew = aux.edges["u"], aux.edges["v"], aux.edges["w"]
     labels = np.arange(n, dtype=np.int64)
-    tree = []
+    tree = [np.empty(0, dtype=EDGE)]
     for t in range(0, d + 1):
         cls = np.flatnonzero(ew == t)
         live = cls[labels[eu[cls]] != labels[ev[cls]]]
         if not len(live):
             continue
-        uniq = np.unique(labels)
-        cu = np.searchsorted(uniq, labels[eu[live]])
-        cv = np.searchsorted(uniq, labels[ev[live]])
+        uniq, inv = np.unique(labels, return_inverse=True)
+        cu, cv = inv[eu[live]], inv[ev[live]]
         taken, _labels, _phases = spanning_forest(cu, cv, len(uniq))
-        tree += zip(eu[live[taken]].tolist(), ev[live[taken]].tolist(),
-                    itertools.repeat(float(t)))
-        contracted = WeightedEdgeList.build(
-            len(uniq), zip(cu.tolist(), cv.tolist(), itertools.repeat(0.0)))
+        tree.append(edge_array(eu[live[taken]], ev[live[taken]], float(t)))
+        contracted = WeightedEdgeList.build(len(uniq), edge_array(cu, cv, 0.0))
         cc_labels, tr = connected_components(contracted, cfg)
         trace.add_trace(tr)
-        labels = uniq[cc_labels[np.searchsorted(uniq, labels)]]
-    return SpanningTree(n_vertices=n, edges=tuple(tree)), trace
+        labels = uniq[cc_labels[inv]]
+    return SpanningTree(n_vertices=n, edges=np.concatenate(tree)), trace
 
 
 def hamming_mst_2d(ps: PointSet, cfg: MpcConfig):
     """Fast path for d = 2: the optimum weight is n + c - 2 where c counts
-    components of the share-a-coordinate subgraph over distinct points.
+    components of the share-a-coordinate subgraph over distinct points,
+    that is of their auxiliary links of weight at most 1.
 
     Returns (mst_weight, component_count); duplicates cost zero and drop out.
     """
@@ -105,15 +102,9 @@ def hamming_mst_2d(ps: PointSet, cfg: MpcConfig):
     n = len(uniq)
     if n == 1:
         return 0, 1
-    links = []
-    for axes in ((0, 1), (1, 0)):
-        items = list(zip(map(tuple, uniq[:, axes].tolist()), range(n)))
-        ordered, _tr = distributed_sort(items, cfg)
-        for a, b in zip(ordered, ordered[1:]):
-            if a[0][0] == b[0][0]:
-                links.append((a[1], b[1], 0.0))
-    graph = WeightedEdgeList.build(n, links)
-    cc_labels, _tr = connected_components(graph, cfg)
+    aux, _trace = build_auxiliary_graph(PointSet(points=uniq, metric=Metric.L0), cfg)
+    near = WeightedEdgeList(n_vertices=n, edges=aux.edges[aux.edges["w"] <= 1])
+    cc_labels, _tr = connected_components(near, cfg)
     c = len(np.unique(cc_labels))
     return n + c - 2, c
 

@@ -4,16 +4,17 @@ Machines are logical: jobs execute locally but every round records how many
 machines the greedy packing used, the peak words on any machine, and the
 message volume. Word model: one word holds one number or one id, so an
 edge is 3 words, a labeled point is d + 2 words, and a sort item is
-len(key) + 1 words.
+its key's words plus one for its id.
 
 Job packing follows the rule that a new machine starts only when no
 existing machine has at least 2s/3 space available, which caps stored
 inputs at 2s/3 per machine and leaves s/3 of working space, and uses at
 most 3S/s + 1 machines for S total input words. A level round is
 accounted from its per-cell job sizes alone: the merge pass over all
-cells runs in `unitstep`, outside this module. Boruvka and connectivity
-are likewise accounted by phase from the edge counts of one
-`core.spanning_forest` call.
+cells runs in `unitstep`, outside this module, and a sort from its item
+count and key length while its caller orders the items. Boruvka and
+connectivity are likewise accounted by phase from the edge counts of one
+`core.spanning_forest` call. Edges travel as `EDGE` record arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -30,6 +30,30 @@ from .core import CapacityError, InputError, spanning_forest
 
 class MpcContractError(RuntimeError):
     """A simulated run violated its declared space or round contract."""
+
+
+# the edge format: one record per edge, its two vertex ids and its weight
+EDGE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def edge_array(u, v, w) -> np.ndarray:
+    """The edges (u[k], v[k], w[k]) as one EDGE record array."""
+    out = np.empty(len(u), dtype=EDGE)
+    out["u"], out["v"], out["w"] = u, v, w
+    return out
+
+
+def edge_records(edges) -> np.ndarray:
+    """`edges` as an EDGE record array: an array as it is, any other
+    iterable as one (u, v, w) tuple per edge."""
+    return np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=EDGE)
+
+
+def _refuse(u, v, bad, what: str) -> None:
+    """Raise InputError naming the first edge (u, v) where `bad` holds."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise InputError(f"edge ({u[i]},{v[i]}) {what}")
 
 
 @dataclass(frozen=True)
@@ -130,40 +154,40 @@ def _check_machine_cap(trace: MpcTrace, cfg: MpcConfig) -> None:
 
 @dataclass(frozen=True)
 class WeightedEdgeList:
-    """Graph edges over vertex ids with nonnegative weights, deduplicated."""
+    """Graph edges over vertex ids with nonnegative weights: an EDGE record
+    array with u < v, strictly ascending by (u, v), so each pair once."""
 
     n_vertices: int
-    edges: tuple
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n_vertices < 1:
             raise InputError("graph needs at least one vertex")
-        seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < v < self.n_vertices):
-                raise InputError(f"edge ({u},{v}) out of range or unnormalized")
-            if w < 0:
-                raise InputError("edge weights must be nonnegative")
-            if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(self.edges))
+        edges = edge_records(self.edges)
+        u, v = edges["u"], edges["v"]
+        _refuse(u, v, (u < 0) | (u >= v) | (v >= self.n_vertices),
+                "out of range or unnormalized")
+        _refuse(u, v, np.diff(u * self.n_vertices + v, prepend=-1) <= 0,
+                "is a duplicate or out of (u, v) order")
+        if np.any(~(edges["w"] >= 0)):
+            raise InputError("edge weights must be nonnegative numbers")
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def build(cls, n_vertices: int, raw_edges) -> "WeightedEdgeList":
-        """Normalize to u < v and keep the minimum weight per vertex pair."""
-        best = {}
-        for u, v, w in raw_edges:
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            if u > v:
-                u, v = v, u
-            key = (u, v)
-            if key not in best or w < best[key]:
-                best[key] = float(w)
-        edges = tuple((u, v, best[(u, v)]) for u, v in sorted(best))
-        return cls(n_vertices=n_vertices, edges=edges)
+        """Normalize to u < v, drop self-loops and keep the minimum weight
+        per vertex pair, the first listed of tied ones."""
+        raw = edge_records(raw_edges)
+        raw = raw[raw["u"] != raw["v"]]
+        u, v = np.sort((raw["u"], raw["v"]), axis=0)
+        w = raw["w"]
+        # a weight that fails `w >= 0` (negative or NaN) leads its pair, so
+        # the constructor sees and rejects it
+        order = np.lexsort((w, w >= 0, v, u))
+        u, v, w = u[order], v[order], w[order]
+        first = np.ones(len(u), dtype=bool)
+        first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        return cls(n_vertices=n_vertices, edges=edge_array(u[first], v[first], w[first]))
 
 
 @dataclass(frozen=True)
@@ -174,19 +198,15 @@ class SpanningTree:
     edges: tuple
 
     def __post_init__(self):
-        norm = [(int(u), int(v), float(w)) if u < v else (int(v), int(u), float(w))
-                for u, v, w in self.edges]
-        for u, v, _w in norm:
-            if u < 0 or v >= self.n_vertices:
-                raise InputError(f"edge ({u},{v}) leaves the vertex range "
-                                 f"[0, {self.n_vertices})")
-        ends = np.asarray([e[:2] for e in norm], dtype=np.int64).reshape(-1, 2)
-        taken, _labels, _phases = spanning_forest(ends[:, 0], ends[:, 1], self.n_vertices)
-        if len(taken) < len(norm):
-            u, v, _w = norm[int(np.setdiff1d(np.arange(len(norm)), taken)[0])]
-            raise InputError(f"edge ({u},{v}) closes a cycle")
-        norm.sort(key=lambda e: (e[2], e[0], e[1]))
-        object.__setattr__(self, "edges", tuple(norm))
+        edges = edge_records(self.edges)
+        u, v = np.sort((edges["u"], edges["v"]), axis=0)
+        _refuse(u, v, (u < 0) | (v >= self.n_vertices),
+                f"leaves the vertex range [0, {self.n_vertices})")
+        taken, _labels, _phases = spanning_forest(u, v, self.n_vertices)
+        _refuse(u, v, ~np.isin(np.arange(len(u)), taken), "closes a cycle")
+        order = np.lexsort((v, u, edges["w"]))
+        edges = edge_array(u[order], v[order], edges["w"][order])
+        object.__setattr__(self, "edges", tuple(edges.tolist()))
 
     @property
     def n_components(self) -> int:
@@ -251,24 +271,21 @@ def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
     same phases on zero weights and gathers a label per vertex instead of
     the tree.
 
-    Returns (tree edges, labels as minimum member ids, trace).
+    Returns (tree edges as EDGE records, labels as minimum member ids, trace).
     """
     weighted = kind == "boruvka"
     s = cfg.space_s
     n = g.n_vertices
-    m = len(g.edges)
-    eu = np.asarray([e[0] for e in g.edges], dtype=np.int64)
-    ev = np.asarray([e[1] for e in g.edges], dtype=np.int64)
+    edges = g.edges
+    m = len(edges)
     if weighted:
-        ew = np.asarray([e[2] for e in g.edges], dtype=np.float64)
-    else:
-        ew = np.zeros(m, dtype=np.float64)
-    order = np.lexsort((ev, eu, ew))
-    eu, ev, ew = eu[order], ev[order], ew[order]
-    taken, labels, phases = spanning_forest(eu, ev, n)
-    if np.any(labels[eu] != labels[ev]):
+        # the edges ascend by (u, v), so a stable sort by weight orders
+        # them by (w, u, v); connectivity keeps the (u, v) order
+        edges = edges[np.argsort(edges["w"], kind="stable")]
+    taken, labels, phases = spanning_forest(edges["u"], edges["v"], n)
+    if np.any(labels[edges["u"]] != labels[edges["v"]]):
         raise MpcContractError("merging phases exhausted with components left")
-    tree = list(zip(eu[taken].tolist(), ev[taken].tolist(), ew[taken].tolist()))
+    tree = edges[taken]
     chunk_edges = max(1, s // 5)
     n_chunks = max(1, math.ceil(m / chunk_edges)) if m else 1
     chunk_words = 5 * min(m, chunk_edges) if m else 0
@@ -306,7 +323,7 @@ def boruvka_mst(g: WeightedEdgeList, cfg: MpcConfig):
     Ties break by (weight, u, v), making the output edge set unique.
     """
     tree, _labels, trace = _boruvka(g, cfg, "boruvka")
-    return SpanningTree(n_vertices=g.n_vertices, edges=tuple(tree)), trace
+    return SpanningTree(n_vertices=g.n_vertices, edges=tree), trace
 
 
 def connected_components(g: WeightedEdgeList, cfg: MpcConfig):
@@ -315,18 +332,17 @@ def connected_components(g: WeightedEdgeList, cfg: MpcConfig):
     return labels, trace
 
 
-def distributed_sort(items, cfg: MpcConfig):
-    """Stable sort by key in exactly 4 rounds (sample, split, exchange, gather)."""
+def distributed_sort(n_items: int, key_words: int, cfg: MpcConfig) -> MpcTrace:
+    """Account a stable sort of n_items (key of key_words words, id) items in
+    exactly 4 rounds (sample, split, exchange, gather); the caller sorts."""
     s = cfg.space_s
-    keys = map(itemgetter(0), items)
-    total = len(items) + sum(len(k) if isinstance(k, (tuple, list)) else 1 for k in keys)
+    total = n_items * (key_words + 1)
     m_machines = max(1, math.ceil(total / max(1, s // 3)))
     if cfg.max_machines is not None:
         m_machines = min(m_machines, cfg.max_machines)
     chunk = math.ceil(total / m_machines) if total else 0
     if chunk > s:
         raise CapacityError("sort input does not fit the machine budget")
-    result = sorted(items, key=itemgetter(0))
     splitter_words = max(0, m_machines - 1) * 2
     rounds = [
         RoundStats(m_machines, chunk, total, total, "sort"),
@@ -341,4 +357,4 @@ def distributed_sort(items, cfg: MpcConfig):
     if trace.max_words() > s:
         raise MpcContractError("sort exceeded the per-machine space budget")
     _check_machine_cap(trace, cfg)
-    return result, trace
+    return trace

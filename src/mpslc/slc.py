@@ -37,6 +37,7 @@ from .mpc import (
     SpanningTree,
     WeightedEdgeList,
     boruvka_mst,
+    edge_records,
     run_level,
 )
 from .partition import (
@@ -122,7 +123,8 @@ def _degenerate_tree(n: int) -> SpanningTree:
 
 
 def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) -> list:
-    """Run one partition sample through all levels; returns its forest edges."""
+    """Run one partition sample through all levels; returns its forest
+    edges, one EDGE record array per level."""
     n, d = ps.n, ps.dim
     seed = derive_seed(params.seed, f"repetition-{rep}")
     part = sample_partition(ps, params.partition, seed)
@@ -161,7 +163,7 @@ def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) 
         trace.append(stats)
         reps, labels, edges = level_step(reps, labels, cells, level_diam,
                                          params.eps, ps)
-        forest.extend(edges)
+        forest.append(edges)
     if len(np.unique(labels)) != 1:
         raise MpcContractError("repetition finished with a disconnected forest")
     return forest
@@ -186,10 +188,10 @@ def approximate_mst(ps: PointSet, params: SlcParams):
     forests = []
     for rep in range(params.repetitions):
         forest = _one_repetition(ps, params, rep, trace)
-        if len(forest) > n - 1:
+        if sum(map(len, forest)) > n - 1:
             raise MpcContractError("a repetition emitted more than a forest")
         forests += forest
-    graph = WeightedEdgeList.build(n, forests)
+    graph = WeightedEdgeList.build(n, np.concatenate(forests))
     if len(graph.edges) > params.repetitions * (n - 1):
         raise MpcContractError("sparsifier exceeded repetitions * (n - 1) edges")
     tree, btrace = boruvka_mst(graph, params.mpc)
@@ -210,11 +212,9 @@ def k_slc_from_mst(tree: SpanningTree, k: int, ps: PointSet) -> Clustering:
         raise InputError("tree must span the point set")
     if not 1 <= k <= n:
         raise InputError(f"k must lie in [1, {n}]")
-    edges = list(tree.edges)
-    keep, removed = edges[: n - k], edges[n - k:]
-    objective = math.inf if k == 1 else float(removed[0][2])
-    ends = np.asarray([e[:2] for e in keep], dtype=np.int64).reshape(-1, 2)
-    _taken, roots, _phases = spanning_forest(ends[:, 0], ends[:, 1], n)
+    objective = math.inf if k == 1 else float(tree.edges[n - k][2])
+    keep = edge_records(tree.edges[: n - k])
+    _taken, roots, _phases = spanning_forest(keep["u"], keep["v"], n)
     # roots are minimum member ids, so their ranks number the clusters in
     # order of first appearance
     _, labels = np.unique(roots, return_inverse=True)
@@ -242,17 +242,9 @@ def verify_per_edge_guarantee(approx: SpanningTree, exact: SpanningTree,
     wa = approx.sorted_weights()
     we = exact.sorted_weights()
     slack = 1e-12
-    pairs = []
-    violations = []
-    max_ratio = 1.0
-    for i, (e, a) in enumerate(zip(we, wa)):
-        pairs.append((float(e), float(a)))
-        lower_ok = e <= a * (1 + slack) + 1e-300
-        upper_ok = a <= (1 + eta) * e * (1 + slack)
-        if not (lower_ok and upper_ok):
-            violations.append(i)
-        if e > 0:
-            max_ratio = max(max_ratio, float(a / e))
-        elif a > 0:
-            max_ratio = math.inf
-    return EdgeReport(pairs=pairs, violations=violations, max_ratio=max_ratio)
+    ok = (we <= wa * (1 + slack) + 1e-300) & (wa <= (1 + eta) * we * (1 + slack))
+    # approx / exact, and where exact is 0: infinite if approx > 0, else 1
+    ratio = np.divide(wa, we, out=np.where(wa > 0, math.inf, 1.0), where=we > 0)
+    return EdgeReport(pairs=list(zip(we.tolist(), wa.tolist())),
+                      violations=np.flatnonzero(~ok).tolist(),
+                      max_ratio=float(ratio.max(initial=1.0)))

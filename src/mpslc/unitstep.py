@@ -41,6 +41,7 @@ from .core import (
     row_runs,
     spanning_forest,
 )
+from .mpc import EDGE, edge_array
 
 GRID_MAX_DIM = 6
 # bucket probes, or candidate pairs x d, in one block; `pair_distances`
@@ -196,15 +197,17 @@ class _Grid:
             lo = hi
 
 
-def _kruskal(lo, hi, w, labels):
-    """Kruskal over candidate pairs in (w, lo, hi) order on the components
-    of `labels`. Returns the indices of the taken pairs in that order and
-    the merged labels (each the lowest label of its merged set).
+def _kruskal(pairs, labels):
+    """Kruskal over candidate pairs, EDGE records (lo, hi, w), in (w, lo,
+    hi) order on the components of `labels`. Returns the taken pairs in
+    that order and the merged labels (each the lowest label of its merged
+    set).
     """
-    order = np.lexsort((hi, lo, w))
+    lo, hi = pairs["u"], pairs["v"]
+    order = np.lexsort((hi, lo, pairs["w"]))
     comps, inv = np.unique(labels, return_inverse=True)
     taken, roots, _phases = spanning_forest(inv[lo[order]], inv[hi[order]], len(comps))
-    return order[taken], comps[roots[inv]]
+    return pairs[order[taken]], comps[roots[inv]]
 
 
 # candidate pairs kept before they are cut to their spanning forest; this
@@ -214,30 +217,29 @@ _MAX_KEPT = 1 << 20
 
 def _candidates(pts, labels, grid, a, b, threshold, metric, pool):
     """`pool` and the cross pairs of the links (a, b) within `threshold`,
-    as (lo, hi, w). Whenever more than _MAX_KEPT accumulate they are cut to
-    their minimum spanning forest, which keeps Kruskal's result: under a
-    strict order no edge off the forest of a subset is in the forest of
-    the whole."""
+    as EDGE records (lo, hi, w). Whenever more than _MAX_KEPT accumulate
+    they are cut to their minimum spanning forest, which keeps Kruskal's
+    result: under a strict order no edge off the forest of a subset is in
+    the forest of the whole."""
     kept = [pool]
-    size = len(pool[0])
+    size = len(pool)
     for u, v in grid.pairs(a, b, max(1, _BLOCK_VALUES // pts.shape[1])):
         cross = labels[u] != labels[v]
         lo = np.minimum(u[cross], v[cross])
         hi = np.maximum(u[cross], v[cross])
         w = pair_distances(pts, lo, hi, metric)
         near = w <= threshold
-        kept.append((lo[near], hi[near], w[near]))
-        size += int(near.sum())
+        kept.append(edge_array(lo[near], hi[near], w[near]))
+        size += len(kept[-1])
         if size > _MAX_KEPT:
-            lo, hi, w = (np.concatenate(x) for x in zip(*kept))
-            taken, _merged = _kruskal(lo, hi, w, labels)
-            kept, size = [(lo[taken], hi[taken], w[taken])], len(taken)
-    return tuple(np.concatenate(x) for x in zip(*kept))
+            kept = [_kruskal(np.concatenate(kept), labels)[0]]
+            size = len(kept[0])
+    return np.concatenate(kept)
 
 
 def _merge_distinct(pts, labels, cells, threshold, metric, want):
-    """Kruskal's edges of every cell of distinct points, as (w, lo, hi),
-    and the merged labels.
+    """Kruskal's edges of every cell of distinct points, as EDGE records
+    (lo, hi, w) in (w, lo, hi) order, and the merged labels.
 
     Shell r of the level's grid pools the cross pairs of its bucket
     pairs. Every pair within grid.bound(r) has then been pooled, so
@@ -247,24 +249,22 @@ def _merge_distinct(pts, labels, cells, threshold, metric, want):
     taken.
     """
     if want == 0:
-        return [], labels
+        return np.empty(0, dtype=EDGE), labels
     grid = _Grid(pts, cells, threshold)
-    pool = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    edges = []
+    pool = np.empty(0, dtype=EDGE)
+    edges = [np.empty(0, dtype=EDGE)]
     for r in itertools.count(1):
         a, b = grid.links(r, labels)
-        lo, hi, w = _candidates(pts, labels, grid, a, b, threshold, metric, pool)
+        pairs = _candidates(pts, labels, grid, a, b, threshold, metric, pool)
         bound = grid.bound(r, threshold)
-        now = np.flatnonzero(w <= bound)
-        if len(now):
-            taken, labels = _kruskal(lo[now], hi[now], w[now], labels)
-            taken = now[taken]
-            edges += zip(w[taken].tolist(), lo[taken].tolist(), hi[taken].tolist())
+        now = pairs["w"] <= bound
+        if now.any():
+            taken, labels = _kruskal(pairs[now], labels)
+            edges.append(taken)
             want -= len(taken)
         if want == 0 or bound >= threshold:
-            return edges, labels
-        later = (w > bound) & (labels[lo] != labels[hi])
-        pool = (lo[later], hi[later], w[later])
+            return np.concatenate(edges), labels
+        pool = pairs[~now & (labels[pairs["u"]] != labels[pairs["v"]])]
 
 
 def _duplicate_owner(pts, cells):
@@ -283,8 +283,8 @@ def _duplicate_owner(pts, cells):
 def _merge(pts, labels, cells, threshold, metric, want):
     """Kruskal within every cell over the pairs of two components at most
     `threshold` apart, in (w, lo, hi) order, stopping after `want` edges.
-    Returns the edges as (w, lo, hi) in that order and the merged labels
-    (each the lowest label of its merged set).
+    Returns the edges as EDGE records (lo, hi, w) in that order and the
+    merged labels (each the lowest label of its merged set).
 
     Exact duplicates, and only they, are at distance 0 (up to l2 pairs so
     close that every squared coordinate difference underflows), so
@@ -297,17 +297,14 @@ def _merge(pts, labels, cells, threshold, metric, want):
     if not len(dup):
         edges, merged = _merge_distinct(pts, labels, cells, threshold, metric, want)
     else:
-        taken, labels = _kruskal(owner[dup], dup, np.zeros(len(dup)), labels)
+        taken, labels = _kruskal(edge_array(owner[dup], dup, 0.0), labels)
         keep = np.flatnonzero(owner == np.arange(len(pts)))
         edges, merged = _merge_distinct(pts[keep], labels[keep], cells[keep], threshold,
                                         metric, want - len(taken))
-        ids = keep.tolist()
-        edges = [(w, ids[lo], ids[hi]) for w, lo, hi in edges]
-        edges += [(0.0, lo, hi) for lo, hi in zip(owner[dup[taken]].tolist(),
-                                                  dup[taken].tolist())]
+        edges["u"], edges["v"] = keep[edges["u"]], keep[edges["v"]]
+        edges = np.concatenate((edges, taken))
         merged = merged[np.searchsorted(keep, owner)]
-    edges.sort()
-    return edges, merged
+    return edges[np.lexsort((edges["v"], edges["u"], edges["w"]))], merged
 
 
 def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
@@ -318,16 +315,17 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
 
     `rep_ids` are the level's surviving points in ascending order,
     `labels` their component labels and `cells` the index of each one's
-    cell; no component may span two cells. An infinite level_diam removes
+    cell, numbered 0 ... k-1 with every number in use, as `slc` numbers
+    them; no component may span two cells. An infinite level_diam removes
     the threshold, so merging runs until one component remains; that is
     the root, a single cell. eps = 0 degenerates to exact closest-pair
     merging and an exact-duplicate covering.
 
     Returns (covering ids in ascending order, their labels, tree edges as
-    (u, v, w) on global ids with u < v, in (w, u, v) order).
+    EDGE records on global ids with u < v, in (w, u, v) order).
     """
     pts = ps.points[rep_ids]
-    n_cells = len(np.unique(cells))
+    n_cells = int(cells.max()) + 1
     if math.isinf(level_diam):
         if n_cells > 1:
             raise InputError("an unbounded level runs one cell, the root")
@@ -337,10 +335,9 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
         radius = eps * eps * level_diam
     want = len(np.unique(labels)) - n_cells
     if want == 0:
-        edges, merged = [], labels
+        edges, merged = np.empty(0, dtype=EDGE), labels
     else:
         edges, merged = _merge(pts, labels, cells, threshold, ps.metric, want)
     cover = _covering(pts, cells, radius, ps.metric)
-    ids = rep_ids.tolist()
-    return (rep_ids[cover], merged[cover],
-            [(ids[lo], ids[hi], w) for w, lo, hi in edges])
+    edges["u"], edges["v"] = rep_ids[edges["u"]], rep_ids[edges["v"]]
+    return rep_ids[cover], merged[cover], edges

@@ -114,6 +114,35 @@ def test_k_slc_matches_oracle():
         assert got == want
 
 
+def _auxiliary_reference(ps):
+    """Per mask, a stable sort over projected tuple keys links consecutive
+    equal projections at the number of unselected coordinates; the
+    lightest link per pair, ascending by (u, v)."""
+    pts = ps.points.astype(np.int64).tolist()
+    n, d = ps.n, ps.dim
+    best = {}
+    for mask in range(1 << d):
+        cols = [j for j in range(d) if (mask >> j) & 1]
+        ordered = sorted(range(n), key=lambda i: tuple(pts[i][j] for j in cols))
+        for a, b in zip(ordered, ordered[1:]):
+            if [pts[a][j] for j in cols] == [pts[b][j] for j in cols]:
+                key = (min(a, b), max(a, b))
+                best[key] = min(best.get(key, d), d - len(cols))
+    return [(u, v, float(best[(u, v)])) for u, v in sorted(best)]
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (2, 3), (30, 1), (40, 3), (25, 8)])
+def test_auxiliary_graph_matches_sorted_reference(n, d):
+    pts = np.random.default_rng(70 + n + d).integers(0, 2, (n, d))
+    if n > 2:
+        pts[n // 2:n // 2 + 3] = pts[0]  # exact duplicates
+    ps = int_ps(pts)
+    aux, trace = build_auxiliary_graph(ps, CFG)
+    got = [(int(u), int(v), float(w)) for u, v, w in aux.edges]
+    assert got == _auxiliary_reference(ps)
+    assert trace.rounds == 4
+
+
 def test_auxiliary_path_property():
     ps = integer_points(60, 3, seed=60)
     aux, _ = build_auxiliary_graph(ps, CFG)

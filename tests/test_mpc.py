@@ -107,7 +107,7 @@ def test_run_level_packing_matches_first_fit_loop(max_machines):
 
 def test_edge_list_build_dedups_min():
     g = WeightedEdgeList.build(3, [(1, 0, 5.0), (0, 1, 2.0), (1, 2, 1.0)])
-    assert g.edges == ((0, 1, 2.0), (1, 2, 1.0))
+    assert g.edges.tolist() == [(0, 1, 2.0), (1, 2, 1.0)]
 
 
 def test_edge_list_validation():
@@ -115,6 +115,48 @@ def test_edge_list_validation():
         WeightedEdgeList(n_vertices=2, edges=((0, 0, 1.0),))
     with pytest.raises(InputError):
         WeightedEdgeList(n_vertices=2, edges=((0, 1, -1.0),))
+    with pytest.raises(InputError, match=r"\(0,1\) is a duplicate"):
+        WeightedEdgeList(n_vertices=3, edges=((0, 1, 1.0), (0, 1, 2.0)))
+    with pytest.raises(InputError, match=r"\(0,2\) is a duplicate or out of \(u, v\) order"):
+        WeightedEdgeList(n_vertices=3, edges=((1, 2, 1.0), (0, 2, 2.0)))
+
+
+def _build_reference(raw):
+    """The lightest weight per unordered pair, self-loops dropped, ascending
+    by (u, v); on tied weights the first one listed."""
+    best = {}
+    for u, v, w in raw:
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key not in best or w < best[key]:
+            best[key] = w
+    return [(u, v, float(best[(u, v)])) for u, v in sorted(best)]
+
+
+def test_edge_list_build_matches_dict_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = 1 + trial % 9
+        m = int(rng.integers(0, 3 * n + 1))
+        ends = rng.integers(0, n, (m, 2)).tolist()
+        # few distinct weights, so repeated pairs tie as well as differ
+        weights = (rng.integers(0, 4, m) / 2).tolist()
+        raw = [(u, v, w) for (u, v), w in zip(ends, weights)]
+        g = WeightedEdgeList.build(n, raw)
+        got = [(int(u), int(v), float(w)) for u, v, w in g.edges]
+        assert got == _build_reference(raw), raw
+    assert len(WeightedEdgeList.build(1, []).edges) == 0
+    assert len(WeightedEdgeList.build(1, [(0, 0, 2.0)]).edges) == 0
+
+
+def test_edge_list_rejects_nan_weights():
+    nan = float("nan")
+    with pytest.raises(InputError):
+        WeightedEdgeList(n_vertices=2, edges=((0, 1, nan),))
+    for raw in ([(0, 1, 1.0), (0, 1, nan)], [(1, 0, nan), (0, 1, 1.0)]):
+        with pytest.raises(InputError):
+            WeightedEdgeList.build(2, raw)
 
 
 def test_spanning_tree_rejects_cycles():
@@ -218,29 +260,28 @@ def test_connected_components_random_vs_union_find():
         assert labels[block[0]] == min(block)
 
 
-def test_sort_stable_and_correct():
-    cfg = MpcConfig(space_s=256)
-    items = [(5, "a"), (1, "b"), (5, "c"), (0, "d")]
-    out, trace = distributed_sort(items, cfg)
-    assert out == [(0, "d"), (1, "b"), (5, "a"), (5, "c")]
-    assert trace.rounds <= 4
-    already = [(0, "x"), (0, "y"), (1, "z")]
-    out2, _ = distributed_sort(already, cfg)
-    assert out2 == already
-    backwards = [(k, None) for k in range(9, -1, -1)]
-    out3, _ = distributed_sort(backwards, cfg)
-    assert [k for k, _ in out3] == list(range(10))
+def test_sort_accounts_four_rounds():
+    # 4 items of one key word and an id: 8 words, one machine
+    trace = distributed_sort(4, 1, MpcConfig(space_s=256))
+    assert trace.rounds == 4
+    assert [r.kind for r in trace.per_round] == ["sort"] * 4
+    assert [(r.machines_used, r.max_words_on_any_machine, r.total_messages_words)
+            for r in trace.per_round] == [(1, 8, 8), (1, 8, 0), (1, 16, 8), (1, 8, 8)]
+    # an empty key leaves the ids alone
+    assert distributed_sort(5, 0, MpcConfig(space_s=256)).per_round[0].input_words == 5
 
 
-def test_sort_large_random_matches_oracle():
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 10**6, size=100_000).tolist()
-    items = [(k, i) for i, k in enumerate(keys)]
+def test_sort_large_input_within_budget():
     cfg = MpcConfig(space_s=65536)
-    out, trace = distributed_sort(items, cfg)
-    assert out == sorted(items, key=lambda kv: kv[0])
+    trace = distributed_sort(100_000, 1, cfg)
     assert trace.rounds <= 4
     assert trace.max_words() <= cfg.space_s
+    assert trace.per_round[0].machines_used == 10  # 200,000 words at s/3 each
+
+
+def test_sort_over_budget_raises_capacity_error():
+    with pytest.raises(CapacityError):
+        distributed_sort(200, 1, MpcConfig(space_s=256, max_machines=1))
 
 
 def test_trace_json_lines_schema():
