@@ -25,10 +25,8 @@ from .mpc import (
     run_level,
 )
 from .partition import (
-    CellId,
     HierarchicalPartition,
     PartitionParams,
-    cell_id,
     level_diameter,
     sample_partition,
 )
@@ -43,7 +41,6 @@ from .slc import (
 from .unitstep import level_step
 from .hamming import (
     build_auxiliary_graph,
-    hamming_k_slc,
     hamming_mst,
     hamming_mst_2d,
 )

@@ -13,7 +13,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -125,19 +125,7 @@ class RunConfig:
     timing_repeats: int = 1
 
     def echo(self) -> dict:
-        return {
-            "input_path": self.input_path,
-            "metric": self.metric.value,
-            "eta": self.eta,
-            "k_list": list(self.k_list),
-            "seed": self.seed.value,
-            "repetitions": self.repetitions,
-            "space_s": self.space_s,
-            "normalize": self.normalize,
-            "output_path": self.output_path,
-            "curve_path": self.curve_path,
-            "timing_repeats": self.timing_repeats,
-        }
+        return {**asdict(self), "metric": self.metric.value, "seed": self.seed.value}
 
 
 @dataclass
@@ -152,16 +140,7 @@ class Report:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "n": self.n,
-            "dim": self.dim,
-            "per_k": self.per_k,
-            "edge_check": self.edge_check,
-            "rounds": self.rounds,
-            "trace_summary": self.trace_summary,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -181,18 +160,16 @@ def _objective_json(value: float):
     return "undefined" if math.isinf(value) else float(value)
 
 
-def _mpc_for(ps: PointSet, cfg: RunConfig) -> MpcConfig:
-    if cfg.space_s is not None:
-        return MpcConfig(space_s=cfg.space_s)
-    return MpcConfig.auto(ps.n, ps.dim)
-
-
-def _build_tree(ps: PointSet, cfg: RunConfig):
-    mpc = _mpc_for(ps, cfg)
+def _build_tree(ps: PointSet, eta: float, seed: Seed, repetitions: int | None,
+                space_s: int | None):
+    if space_s is not None:
+        mpc = MpcConfig(space_s=space_s)
+    else:
+        mpc = MpcConfig.auto(ps.n, ps.dim)
     if ps.metric is Metric.L0:
         return hamming_mst(ps, mpc)
-    params = SlcParams.for_point_set(ps, eta=cfg.eta, seed=cfg.seed,
-                                     repetitions=cfg.repetitions, mpc=mpc)
+    params = SlcParams.for_point_set(ps, eta=eta, seed=seed,
+                                     repetitions=repetitions, mpc=mpc)
     return approximate_mst(ps, params)
 
 
@@ -206,7 +183,7 @@ def run_experiment(cfg: RunConfig) -> Report:
     tree = trace = None
     for _ in range(max(1, cfg.timing_repeats)):
         t0 = time.perf_counter()
-        tree, trace = _build_tree(ps, cfg)
+        tree, trace = _build_tree(ps, cfg.eta, cfg.seed, cfg.repetitions, cfg.space_s)
         wall.append(time.perf_counter() - t0)
     timings = {"approx_seconds": statistics.median(wall)}
     oracle_tree = None
@@ -273,30 +250,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(
-        input_path=args.input, metric=Metric.parse(args.metric), eta=args.eta,
-        k_list=[2], seed=Seed(args.seed), repetitions=args.repetitions,
-        space_s=args.space_s,
-    )
-    ps = load_csv(cfg.input_path, cfg.metric)
+    ps = load_csv(args.input, Metric.parse(args.metric))
     if ps.n > oracle.DENSE_CAP:
         raise CapacityError("verification needs the dense oracle; input too large")
-    tree, _trace = _build_tree(ps, cfg)
+    tree, _trace = _build_tree(ps, args.eta, Seed(args.seed), args.repetitions,
+                               args.space_s)
     exact = oracle.exact_mst(ps)
-    report = verify_per_edge_guarantee(tree, exact, cfg.eta)
+    report = verify_per_edge_guarantee(tree, exact, args.eta)
     print(f"indices={len(report.pairs)} violations={len(report.violations)} "
           f"max_ratio={report.max_ratio:.6f}")
     return 0 if report.ok else 1
 
 
 def _cmd_trace_dump(args) -> int:
-    cfg = RunConfig(
-        input_path=args.input, metric=Metric.parse(args.metric), eta=args.eta,
-        k_list=[2], seed=Seed(args.seed), repetitions=args.repetitions,
-        space_s=args.space_s,
-    )
-    ps = load_csv(cfg.input_path, cfg.metric)
-    _tree, trace = _build_tree(ps, cfg)
+    ps = load_csv(args.input, Metric.parse(args.metric))
+    _tree, trace = _build_tree(ps, args.eta, Seed(args.seed), args.repetitions,
+                               args.space_s)
     text = trace.to_json_lines()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

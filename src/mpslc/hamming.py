@@ -1,4 +1,5 @@
-"""Exact Hamming MST and clustering for small dimension.
+"""Exact Hamming MST for small dimension; clusterings come from its tree
+through `slc.k_slc_from_mst`.
 
 For every subset of coordinates (a d-bit mask), sorting by the projected
 coordinates links consecutive equal projections with an edge whose weight
@@ -24,7 +25,6 @@ from .mpc import (
     edge_array,
     merge_parallel,
 )
-from .slc import Clustering, k_slc_from_mst
 
 MAX_DIM = 20
 
@@ -107,9 +107,3 @@ def hamming_mst_2d(ps: PointSet, cfg: MpcConfig):
     cc_labels, _tr = connected_components(near, cfg)
     c = len(np.unique(cc_labels))
     return n + c - 2, c
-
-
-def hamming_k_slc(ps: PointSet, k: int, cfg: MpcConfig) -> Clustering:
-    """Exact k-clustering from the exact Hamming MST."""
-    tree, _trace = hamming_mst(ps, cfg)
-    return k_slc_from_mst(tree, k, ps)

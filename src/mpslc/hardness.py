@@ -21,10 +21,20 @@ from enum import Enum
 
 import numpy as np
 
-from .core import InputError, Metric, PointSet, Seed, SparsePoint, rng_stream
+from .core import (
+    InputError,
+    Metric,
+    PointSet,
+    Seed,
+    SparsePoint,
+    rng_stream,
+    spanning_forest,
+)
 
 XI_DEFAULT = {Metric.L2: 1.0 / math.sqrt(2.0), Metric.L1: 1.0}
 MIN_CYCLE_LEN = 5
+# the C of the projection dimension C ln(n) / eps^2
+C_JL = 8.0
 
 
 class GraphKind(Enum):
@@ -82,11 +92,8 @@ class GraphInstance:
         return cls(n_vertices=n, edges=tuple(edges), kind=GraphKind.ARBITRARY)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        ends = np.asarray(self.edges, dtype=np.int64).ravel()
+        return np.bincount(ends, minlength=self.n_vertices)
 
     def neighbors(self) -> list:
         adj = [[] for _ in range(self.n_vertices)]
@@ -99,21 +106,10 @@ class GraphInstance:
         """Component sizes, meaningful when every degree is exactly 2."""
         if not np.all(self.degrees() == 2):
             return []
-        parent = list(range(self.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        sizes: dict = {}
-        for i in range(self.n_vertices):
-            r = find(i)
-            sizes[r] = sizes.get(r, 0) + 1
-        return sorted(sizes.values())
+        u, v = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).T
+        _taken, labels, _phases = spanning_forest(u, v, self.n_vertices)
+        sizes = np.bincount(labels)
+        return sorted(sizes[sizes > 0].tolist())
 
 
 def gen_cycle_vectors(g: GraphInstance, xi: float | None = None,
@@ -173,12 +169,11 @@ def gen_hamming_points(g: GraphInstance) -> PointSet:
 
 @dataclass(frozen=True)
 class JlParams:
-    """Projection shape: target dimension, accuracy, seed and the C constant."""
+    """Projection shape: target dimension, accuracy and seed."""
 
     target_dim: int
     eps: float
     seed: Seed
-    c_jl: float = 8.0
 
     def __post_init__(self):
         if self.target_dim < 1:
@@ -187,10 +182,10 @@ class JlParams:
             raise InputError("eps must lie in (0, 1)")
 
     @classmethod
-    def auto(cls, n_points: int, eps: float, seed: Seed, c_jl: float = 8.0) -> "JlParams":
-        """Smallest dimension meeting target_dim >= ceil(c_jl * ln(n) / eps^2)."""
-        dim = math.ceil(c_jl * math.log(max(2, n_points)) / (eps * eps))
-        return cls(target_dim=dim, eps=eps, seed=seed, c_jl=c_jl)
+    def auto(cls, n_points: int, eps: float, seed: Seed) -> "JlParams":
+        """Smallest dimension meeting target_dim >= ceil(C_JL * ln(n) / eps^2)."""
+        dim = math.ceil(C_JL * math.log(max(2, n_points)) / (eps * eps))
+        return cls(target_dim=dim, eps=eps, seed=seed)
 
 
 def jl_project(vs: list, p: JlParams) -> PointSet:

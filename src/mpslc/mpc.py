@@ -58,16 +58,13 @@ def _refuse(u, v, bad, what: str) -> None:
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Per-machine word budget and machine count cap."""
+    """Per-machine word budget."""
 
     space_s: int
-    max_machines: int | None = None
 
     def __post_init__(self):
         if self.space_s < 16:
             raise InputError("space_s must be at least 16 words")
-        if self.max_machines is not None and self.max_machines < 1:
-            raise InputError("max_machines must be >= 1 when bounded")
 
     @classmethod
     def auto(cls, n_points: int, dim: int) -> "MpcConfig":
@@ -142,14 +139,11 @@ def round_bound(n_vertices: int) -> int:
     return 2 * math.ceil(math.log2(max(1, n_vertices))) + 2
 
 
-def _check_machine_cap(trace: MpcTrace, cfg: MpcConfig) -> None:
-    if cfg.max_machines is None:
-        return
-    peak = max((r.machines_used for r in trace.per_round), default=0)
-    if peak > cfg.max_machines:
-        raise CapacityError(
-            f"round needs {peak} machines, cap is {cfg.max_machines}"
-        )
+def spread(words: int, cfg: MpcConfig) -> tuple[int, int]:
+    """(machines, peak words on any machine) of `words` input words dealt
+    out s/3 to a machine, the working space of a job."""
+    cap = cfg.space_s // 3
+    return max(1, math.ceil(words / cap)), min(words, cap)
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,7 @@ def run_level(sizes, cfg: MpcConfig) -> RoundStats:
     the jobs itself. Packing is greedy in that order: a machine takes jobs
     until it holds more than s/3 words, then the next machine opens. A job
     whose working space exceeds s/3 is rejected, as is a packing beyond
-    the machine cap or beyond 3S/s + 1 machines for S total words.
+    3S/s + 1 machines for S total words.
     """
     s = cfg.space_s
     cap = s // 3
@@ -246,8 +240,6 @@ def run_level(sizes, cfg: MpcConfig) -> RoundStats:
         # the first job that lifts this machine above cap is its last
         start = int(np.searchsorted(cum, base + cap, side="right")) + 1
     machines = len(starts)
-    if cfg.max_machines is not None and machines > cfg.max_machines:
-        raise CapacityError(f"packing needs more than {cfg.max_machines} machines")
     total = int(cum[-1]) if len(cum) else 0
     if machines > 3 * total / s + 1:
         raise MpcContractError(
@@ -298,22 +290,14 @@ def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
                                  max_words_on_any_machine=chunk_words,
                                  total_messages_words=cand_words,
                                  input_words=5 * m, kind=kind))
-        merge_machines = max(1, math.ceil(cand_words / max(1, s // 3)))
-        rounds.append(RoundStats(machines_used=merge_machines,
-                                 max_words_on_any_machine=min(cand_words, s // 3) if cand_words else 0,
-                                 total_messages_words=2 * n,
-                                 input_words=cand_words, kind=kind))
+        rounds.append(RoundStats(*spread(cand_words, cfg), 2 * n, cand_words, kind))
     out_words = 3 * len(tree) if weighted else n
-    rounds.append(RoundStats(machines_used=max(1, math.ceil(out_words / max(1, s // 3))),
-                             max_words_on_any_machine=min(out_words, s // 3) if out_words else 0,
-                             total_messages_words=out_words, input_words=out_words,
-                             kind=kind))
+    rounds.append(RoundStats(*spread(out_words, cfg), out_words, out_words, kind))
     trace = MpcTrace(per_round=rounds)
     if trace.rounds > round_bound(n):
         raise MpcContractError(f"{kind} used {trace.rounds} rounds on {n} vertices")
     if trace.max_words() > s:
         raise MpcContractError(f"{kind} exceeded the per-machine space budget")
-    _check_machine_cap(trace, cfg)
     return tree, labels, trace
 
 
@@ -337,12 +321,8 @@ def distributed_sort(n_items: int, key_words: int, cfg: MpcConfig) -> MpcTrace:
     exactly 4 rounds (sample, split, exchange, gather); the caller sorts."""
     s = cfg.space_s
     total = n_items * (key_words + 1)
-    m_machines = max(1, math.ceil(total / max(1, s // 3)))
-    if cfg.max_machines is not None:
-        m_machines = min(m_machines, cfg.max_machines)
-    chunk = math.ceil(total / m_machines) if total else 0
-    if chunk > s:
-        raise CapacityError("sort input does not fit the machine budget")
+    m_machines, _peak = spread(total, cfg)
+    chunk = math.ceil(total / m_machines)
     splitter_words = max(0, m_machines - 1) * 2
     rounds = [
         RoundStats(m_machines, chunk, total, total, "sort"),
@@ -356,5 +336,4 @@ def distributed_sort(n_items: int, key_words: int, cfg: MpcConfig) -> MpcTrace:
         raise MpcContractError("sort exceeded 4 rounds")
     if trace.max_words() > s:
         raise MpcContractError("sort exceeded the per-machine space budget")
-    _check_machine_cap(trace, cfg)
     return trace

@@ -95,12 +95,6 @@ def _pow_at_least(alpha: float, target: float) -> float:
 
 
 @dataclass(frozen=True)
-class CellId:
-    level: int
-    coords: tuple
-
-
-@dataclass(frozen=True)
 class HierarchicalPartition:
     """A sampled grid: params plus the full per-coordinate offset vector.
 
@@ -110,7 +104,6 @@ class HierarchicalPartition:
 
     params: PartitionParams
     shift: np.ndarray
-    seed: Seed
 
     def __post_init__(self):
         object.__setattr__(
@@ -128,9 +121,9 @@ def sample_partition(ps: PointSet, params: PartitionParams, seed: Seed) -> Hiera
         )
     origin = np.min(ps.points, axis=0)
     if params.bbox_side == 0.0:
-        return HierarchicalPartition(params=params, shift=origin, seed=seed)
+        return HierarchicalPartition(params=params, shift=origin)
     r = rng_stream(seed, "partition-shift").uniform(0.0, params.bbox_side, size=ps.dim)
-    return HierarchicalPartition(params=params, shift=origin + r, seed=seed)
+    return HierarchicalPartition(params=params, shift=origin + r)
 
 
 def base_cell_coords(part: HierarchicalPartition, points: np.ndarray) -> np.ndarray:
@@ -156,15 +149,9 @@ def coords_at_level(part: HierarchicalPartition, base: np.ndarray, level: int) -
     return np.floor_divide(base, int(p.alpha_grid) ** level)
 
 
-def cell_id(part: HierarchicalPartition, x, level: int) -> CellId:
-    """Cell containing x at the given level; deterministic and nesting-consistent."""
-    base = base_cell_coords(part, np.atleast_2d(x))
-    coords = coords_at_level(part, base, level)[0]
-    return CellId(level=level, coords=tuple(int(c) for c in coords))
-
-
-def level_diameter(params: PartitionParams, level: int, diam_s: float) -> float:
-    """Diameter bound gamma * (1/alpha)^(L - level) * diam_s for the level."""
+def level_diameter(params: PartitionParams, level: int) -> float:
+    """Diameter bound gamma * (1/alpha)^(L - level) * bbox_side for the level."""
     if not 0 <= level <= params.levels:
         raise InputError(f"level {level} out of range [0, {params.levels}]")
-    return params.gamma * (1.0 / params.alpha_grid) ** (params.levels - level) * diam_s
+    scale = (1.0 / params.alpha_grid) ** (params.levels - level)
+    return params.gamma * scale * params.bbox_side

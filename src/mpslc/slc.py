@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .mpc import (
     boruvka_mst,
     edge_records,
     run_level,
+    spread,
 )
 from .partition import (
     PartitionParams,
@@ -63,24 +64,23 @@ def derive_eps(eta: float, levels: int, b: float, c1: float, c2: float) -> float
 
 @dataclass(frozen=True)
 class SlcParams:
-    """Everything one pipeline run depends on, fully determined by the seed."""
+    """Everything one pipeline run depends on, fully determined by the seed.
+    The merge-step accuracy eps is derived, never passed."""
 
     eta: float
     repetitions: int
     c1: float
     c2: float
-    eps: float
     partition: PartitionParams
     mpc: MpcConfig
     seed: Seed
+    eps: float = field(init=False)
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise InputError("repetitions must be >= 1")
-        want = derive_eps(self.eta, self.partition.levels, self.partition.b_cut,
-                          self.c1, self.c2)
-        if not math.isclose(self.eps, want, rel_tol=1e-12):
-            raise InputError("eps inconsistent with eta, levels, b_cut, c1, c2")
+        object.__setattr__(self, "eps", derive_eps(
+            self.eta, self.partition.levels, self.partition.b_cut, self.c1, self.c2))
         if not 0.0 < self.eps < 1.0:
             raise InputError(
                 f"eps = {self.eps:.6g} must lie in (0, 1): c1 = {self.c1:g} and "
@@ -100,12 +100,11 @@ class SlcParams:
         c2: float = 1.0,
     ) -> "SlcParams":
         part = PartitionParams.for_point_set(ps, alpha_grid=alpha_grid, levels=levels)
-        eps = derive_eps(eta, part.levels, part.b_cut, c1, c2)
         if repetitions is None:
             repetitions = max(1, math.ceil(math.log2(max(2, ps.n))))
         if mpc is None:
             mpc = MpcConfig.auto(ps.n, ps.dim)
-        return cls(eta=eta, repetitions=int(repetitions), c1=c1, c2=c2, eps=eps,
+        return cls(eta=eta, repetitions=int(repetitions), c1=c1, c2=c2,
                    partition=part, mpc=mpc, seed=seed)
 
 
@@ -128,13 +127,9 @@ def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) 
     n, d = ps.n, ps.dim
     seed = derive_seed(params.seed, f"repetition-{rep}")
     part = sample_partition(ps, params.partition, seed)
-    s = params.mpc.space_s
     setup_words = n * (d + 2)
-    trace.append(RoundStats(
-        machines_used=max(1, math.ceil(setup_words / max(1, s // 3))),
-        max_words_on_any_machine=min(setup_words, s // 3),
-        total_messages_words=setup_words, input_words=setup_words,
-        kind="partition"))
+    trace.append(RoundStats(*spread(setup_words, params.mpc), setup_words, setup_words,
+                            "partition"))
     base = base_cell_coords(part, ps.points)
     reps = np.arange(n, dtype=np.int64)
     labels = np.arange(n, dtype=np.int64)
@@ -144,8 +139,7 @@ def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) 
         if level == levels:
             level_diam = math.inf
         else:
-            level_diam = level_diameter(params.partition, level,
-                                        params.partition.bbox_side)
+            level_diam = level_diameter(params.partition, level)
         coords = coords_at_level(part, base[reps], level)
         order, starts = row_runs(coords)
         cell_coords = coords[order[starts]]
@@ -156,10 +150,10 @@ def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) 
             stats = run_level(sizes, params.mpc)
         except CapacityError as exc:
             where = "root" if level == levels else f"level {level}"
-            over = np.flatnonzero(sizes > params.mpc.space_s // 3)
-            if len(over):
-                where += f", cell {tuple(cell_coords[over[0]].tolist())}"
-            raise CapacityError(f"repetition {rep}, {where}: {exc}") from exc
+            # run_level refuses the first job above s/3 words, the only refusal
+            over = np.flatnonzero(sizes > params.mpc.space_s // 3)[0]
+            raise CapacityError(f"repetition {rep}, {where}, cell "
+                                f"{tuple(cell_coords[over].tolist())}: {exc}") from exc
         trace.append(stats)
         reps, labels, edges = level_step(reps, labels, cells, level_diam,
                                          params.eps, ps)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mpslc.core import CapacityError, Metric, PointSet, Seed, derive_seed
-from mpslc.hamming import hamming_k_slc, hamming_mst, hamming_mst_2d
+from mpslc.hamming import hamming_mst, hamming_mst_2d
 from mpslc.hardness import (
     GraphInstance,
     JlParams,
@@ -253,8 +253,8 @@ def test_criterion_3_hamming_objectives():
     cfg = MpcConfig(space_s=32768)
     connected = gen_hamming_points(GraphInstance.one_cycle(100))
     disconnected = gen_hamming_points(GraphInstance.two_cycles(100))
-    obj_c = hamming_k_slc(connected, 2, cfg).objective
-    obj_d = hamming_k_slc(disconnected, 2, cfg).objective
+    obj_c = k_slc_from_mst(hamming_mst(connected, cfg)[0], 2, connected).objective
+    obj_d = k_slc_from_mst(hamming_mst(disconnected, cfg)[0], 2, disconnected).objective
     pts = connected.points.astype(int)
     dist_vals = set()
     for i in range(len(pts)):
@@ -300,7 +300,7 @@ def test_criterion_4_jl_preservation():
     ok = False
     for attempt in range(4):
         attempts += 1
-        params = JlParams.auto(64, eps, Seed(41_000 + attempt), c_jl=8.0)
+        params = JlParams.auto(64, eps, Seed(41_000 + attempt))
         out = jl_project(vs, params)
         good = True
         for i in range(64):
@@ -377,16 +377,15 @@ def test_criterion_6_partition_properties():
                 if level == params.levels:
                     continue
                 _, inv = np.unique(coords, axis=0, return_inverse=True)
-                d_l = level_diameter(params, level, params.bbox_side)
+                d_l = level_diameter(params, level)
                 counts = np.bincount(inv)
                 for g in np.flatnonzero(counts > 1):
                     if _measured_diameter(pts[inv == g], metric) > d_l:
                         diam_bad += 1
-        if _measured_diameter(pts, metric) > level_diameter(
-                params, params.levels, params.bbox_side):
+        if _measured_diameter(pts, metric) > level_diameter(params, params.levels):
             diam_bad += 1
         for level in range(params.levels + 1):
-            d_l = level_diameter(params, level, params.bbox_side)
+            d_l = level_diameter(params, level)
             bound = np.minimum(1.0, params.b_cut * rho / d_l)
             sigma = np.sqrt(bound * (1 - bound) / n_samples)
             freq = cuts[level] / n_samples

@@ -4,7 +4,6 @@ import pytest
 from mpslc.core import InputError, Metric, PointSet
 from mpslc.hamming import (
     build_auxiliary_graph,
-    hamming_k_slc,
     hamming_mst,
     hamming_mst_2d,
 )
@@ -99,17 +98,21 @@ def test_2d_requires_two_columns():
         hamming_mst_2d(ps, CFG)
 
 
+def _k_slc(ps, k):
+    return k_slc_from_mst(hamming_mst(ps, CFG)[0], k, ps)
+
+
 def test_k_slc_on_hardness_instances():
     connected = gen_hamming_points(GraphInstance.one_cycle(12))
-    assert hamming_k_slc(connected, 2, CFG).objective == 1.0
+    assert _k_slc(connected, 2).objective == 1.0
     disconnected = gen_hamming_points(GraphInstance.two_cycles(12))
-    assert hamming_k_slc(disconnected, 2, CFG).objective == 2.0
+    assert _k_slc(disconnected, 2).objective == 2.0
 
 
 def test_k_slc_matches_oracle():
     for seed in range(4):
         ps = integer_points(50, 3, seed=50 + seed)
-        got = hamming_k_slc(ps, 4, CFG).objective
+        got = _k_slc(ps, 4).objective
         want = k_slc_from_mst(exact_mst(ps), 4, ps).objective
         assert got == want
 

@@ -6,6 +6,7 @@ import pytest
 from mpslc.core import InputError, Metric, Seed, sparse_distance
 from mpslc.hardness import (
     GraphInstance,
+    GraphKind,
     JlParams,
     gen_cycle_vectors,
     gen_edge_vectors,
@@ -115,6 +116,30 @@ def test_graph_instance_validation():
     with pytest.raises(InputError):
         GraphInstance(n_vertices=6, edges=((0, 1), (1, 2), (2, 0)),
                       kind=GraphInstance.one_cycle(6).kind)
+
+
+def test_cycle_lengths_and_degrees():
+    five = [(i, (i + 1) % 5) for i in range(5)]
+    seven = [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
+    g = GraphInstance.from_edges(12, five + seven)
+    assert g.cycle_lengths() == [5, 7]
+    assert g.degrees().tolist() == [2] * 12
+    with pytest.raises(InputError):
+        GraphInstance(n_vertices=12, edges=tuple(five + seven), kind=GraphKind.TWO_CYCLES)
+    path = GraphInstance.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert path.cycle_lengths() == []
+    assert path.degrees().tolist() == [1, 2, 2, 1]
+    # disjoint cycles of known lengths on shuffled vertex ids
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        lengths = rng.integers(3, 9, size=rng.integers(1, 5)).tolist()
+        ids = rng.permutation(sum(lengths))
+        edges, start = [], 0
+        for length in lengths:
+            ring = ids[start:start + length]
+            edges += [(int(ring[i]), int(ring[(i + 1) % length])) for i in range(length)]
+            start += length
+        assert GraphInstance.from_edges(len(ids), edges).cycle_lengths() == sorted(lengths)
 
 
 def test_jl_params_auto_floor():

@@ -15,6 +15,7 @@ from mpslc.mpc import (
     merge_parallel,
     round_bound,
     run_level,
+    spread,
 )
 from mpslc.oracle import kruskal_edges
 
@@ -48,12 +49,6 @@ def test_run_level_replay_deterministic():
     assert run_level(sizes, cfg) == run_level(sizes, cfg)
 
 
-def test_run_level_machine_cap():
-    cfg = MpcConfig(space_s=90, max_machines=1)
-    with pytest.raises(CapacityError):
-        run_level([30] * 9, cfg)
-
-
 def test_run_level_machine_bound_formula():
     rng = np.random.default_rng(1)
     cfg = MpcConfig(space_s=300)
@@ -73,8 +68,6 @@ def _packing_loop(sizes, cfg):
             return None
         k = next((i for i, u in enumerate(used) if u <= cap), None)
         if k is None:
-            if cfg.max_machines is not None and len(used) == cfg.max_machines:
-                return None
             used.append(0)
             peak.append(0)
             k = len(used) - 1
@@ -83,10 +76,9 @@ def _packing_loop(sizes, cfg):
     return len(used), max((u + p for u, p in zip(used, peak)), default=0)
 
 
-@pytest.mark.parametrize("max_machines", [None, 4])
-def test_run_level_packing_matches_first_fit_loop(max_machines):
+def test_run_level_packing_matches_first_fit_loop():
     rng = np.random.default_rng(6)
-    cfg = MpcConfig(space_s=300, max_machines=max_machines)
+    cfg = MpcConfig(space_s=300)
     cap = cfg.space_s // 3
     refused = 0
     for _ in range(300):
@@ -103,6 +95,14 @@ def test_run_level_packing_matches_first_fit_loop(max_machines):
         assert stats.total_messages_words == stats.input_words == int(sizes.sum())
         assert stats.kind == "level"
     assert 0 < refused < 300
+
+
+def test_spread_deals_out_a_third_of_s_per_machine():
+    cfg = MpcConfig(space_s=300)
+    assert spread(0, cfg) == (1, 0)
+    assert spread(100, cfg) == (1, 100)
+    assert spread(101, cfg) == (2, 100)
+    assert spread(1000, cfg) == (10, 100)
 
 
 def test_edge_list_build_dedups_min():
@@ -277,11 +277,6 @@ def test_sort_large_input_within_budget():
     assert trace.rounds <= 4
     assert trace.max_words() <= cfg.space_s
     assert trace.per_round[0].machines_used == 10  # 200,000 words at s/3 each
-
-
-def test_sort_over_budget_raises_capacity_error():
-    with pytest.raises(CapacityError):
-        distributed_sort(200, 1, MpcConfig(space_s=256, max_machines=1))
 
 
 def test_trace_json_lines_schema():

@@ -5,11 +5,9 @@ import pytest
 
 from mpslc.core import InputError, Metric, PointSet, Seed
 from mpslc.partition import (
-    CellId,
     HierarchicalPartition,
     PartitionParams,
     base_cell_coords,
-    cell_id,
     coords_at_level,
     level_diameter,
     metric_profile,
@@ -17,6 +15,11 @@ from mpslc.partition import (
 )
 
 from conftest import FLOAT_METRICS, uniform_points
+
+
+def _cell(part, x, level):
+    """The grid coordinates of x's cell at the given level."""
+    return tuple(coords_at_level(part, base_cell_coords(part, x), level)[0].tolist())
 
 
 def test_metric_profiles():
@@ -30,24 +33,23 @@ def test_singleton_point_set_single_cell_everywhere():
     params = PartitionParams.for_point_set(ps)
     part = sample_partition(ps, params, Seed(1))
     for level in range(params.levels + 1):
-        cells = {cell_id(part, ps.points[0], level)}
+        cells = {_cell(part, ps.points[0], level)}
         assert len(cells) == 1
 
 
 def test_forced_zero_shift_floor_evaluation():
     params = PartitionParams(alpha_grid=2.0, levels=1, bbox_side=1.0,
                              gamma=math.sqrt(2), b_cut=2.0)
-    part = HierarchicalPartition(params=params, shift=np.zeros(2), seed=Seed(0))
-    assert cell_id(part, np.array([0.3, 0.7]), 0) == CellId(level=0, coords=(0, 1))
+    part = HierarchicalPartition(params=params, shift=np.zeros(2))
+    assert _cell(part, np.array([0.3, 0.7]), 0) == (0, 1)
 
 
 def test_root_cell_is_shared():
     ps = uniform_points(64, 3, seed=2)
     params = PartitionParams.for_point_set(ps)
     part = sample_partition(ps, params, Seed(5))
-    root = {cell_id(part, p, params.levels) for p in ps.points}
-    assert len(root) == 1
-    assert root.pop().coords == (0, 0, 0)
+    root = {_cell(part, p, params.levels) for p in ps.points}
+    assert root == {(0, 0, 0)}
 
 
 def test_distant_points_split():
@@ -55,9 +57,9 @@ def test_distant_points_split():
     params = PartitionParams.for_point_set(ps)
     part = sample_partition(ps, params, Seed(3))
     for level in range(params.levels):
-        d_l = level_diameter(params, level, params.bbox_side)
+        d_l = level_diameter(params, level)
         if 9.0 > d_l:
-            assert cell_id(part, ps.points[0], level) != cell_id(part, ps.points[1], level)
+            assert _cell(part, ps.points[0], level) != _cell(part, ps.points[1], level)
 
 
 def test_nesting_no_violation():
@@ -83,16 +85,20 @@ def test_level_out_of_range():
     params = PartitionParams.for_point_set(ps)
     part = sample_partition(ps, params, Seed(2))
     with pytest.raises(InputError):
-        cell_id(part, ps.points[0], params.levels + 1)
+        _cell(part, ps.points[0], params.levels + 1)
     with pytest.raises(InputError):
-        level_diameter(params, -1, 1.0)
+        level_diameter(params, -1)
 
 
 def test_level_diameter_formula():
     params = PartitionParams(alpha_grid=2.0, levels=3, bbox_side=8.0,
                              gamma=1.0, b_cut=2.0)
-    assert level_diameter(params, 3, 5.0) == 5.0
-    assert level_diameter(params, 1, 8.0) == 2.0
+    assert level_diameter(params, 3) == 8.0
+    assert level_diameter(params, 1) == 2.0
+    params = PartitionParams(alpha_grid=2.0, levels=3, bbox_side=5.0,
+                             gamma=3.0, b_cut=2.0)
+    assert level_diameter(params, 3) == 15.0
+    assert level_diameter(params, 0) == 1.875
 
 
 def test_alpha_grid_must_be_integral():
@@ -106,7 +112,7 @@ def _cell_diameters_ok(ps, part):
     params = part.params
     base = base_cell_coords(part, ps.points)
     for level in range(params.levels + 1):
-        d_l = level_diameter(params, level, params.bbox_side)
+        d_l = level_diameter(params, level)
         coords = coords_at_level(part, base, level)
         _, inv = np.unique(coords, axis=0, return_inverse=True)
         for g in range(inv.max() + 1):
@@ -167,7 +173,7 @@ def test_cut_probability_monte_carlo():
             coords = coords_at_level(part, base, level)
             cuts[level] += np.any(coords[:n_pairs] != coords[n_pairs:], axis=1)
     for level in range(params.levels + 1):
-        d_l = level_diameter(params, level, params.bbox_side)
+        d_l = level_diameter(params, level)
         bound = min(1.0, params.b_cut * 0.01 / d_l)
         sigma = math.sqrt(bound * (1 - bound) / n_samples)
         freq = cuts[level] / n_samples
@@ -179,7 +185,7 @@ def test_degenerate_identical_points():
     params = PartitionParams.for_point_set(ps)
     assert params.levels == 1 and params.bbox_side == 0.0
     part = sample_partition(ps, params, Seed(0))
-    assert cell_id(part, ps.points[2], 0) == cell_id(part, ps.points[4], 0)
+    assert _cell(part, ps.points[2], 0) == _cell(part, ps.points[4], 0)
 
 
 def test_sample_partition_deterministic():

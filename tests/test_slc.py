@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,12 +50,24 @@ def test_derive_eps_rejects_nonpositive():
 
 
 def test_params_reject_inconsistent_eps():
+    # eps is derived from eta, levels, b_cut, c1 and c2 and cannot be passed
     ps = uniform_points(32, 2, seed=1)
     good = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(1))
-    with pytest.raises(InputError):
+    assert good.eps == derive_eps(good.eta, good.partition.levels,
+                                  good.partition.b_cut, good.c1, good.c2)
+    with pytest.raises(TypeError):
         SlcParams(eta=good.eta, repetitions=good.repetitions, c1=good.c1,
                   c2=good.c2, eps=good.eps * 2, partition=good.partition,
                   mpc=good.mpc, seed=good.seed)
+
+
+def test_params_warn_once_above_eta_three():
+    ps = uniform_points(50, 3, seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        SlcParams.for_point_set(ps, eta=3.5, seed=Seed(1))
+    assert len(caught) == 1
+    assert "eta <= 3" in str(caught[0].message)
 
 
 def test_approximate_mst_single_point():
