@@ -65,9 +65,8 @@ def build_auxiliary_graph(ps: PointSet, cfg: MpcConfig):
 def hamming_mst(ps: PointSet, cfg: MpcConfig):
     """Exact Hamming MST: mask sorts, then weight classes 0..d augment the
     forest, each class contracted through a distributed connectivity pass."""
-    pts = _validated_int_points(ps)
-    n, d = pts.shape
     aux, trace = build_auxiliary_graph(ps, cfg)
+    n, d = ps.n, ps.dim
     # the edges ascend by (u, v), and every class keeps that order
     eu, ev, ew = aux.edges["u"], aux.edges["v"], aux.edges["w"]
     labels = np.arange(n, dtype=np.int64)
@@ -100,8 +99,6 @@ def hamming_mst_2d(ps: PointSet, cfg: MpcConfig):
         raise InputError("the 2-d fast path requires exactly two coordinates")
     uniq = np.unique(pts, axis=0)
     n = len(uniq)
-    if n == 1:
-        return 0, 1
     aux, _trace = build_auxiliary_graph(PointSet(points=uniq, metric=Metric.L0), cfg)
     near = WeightedEdgeList(n_vertices=n, edges=aux.edges[aux.edges["w"] <= 1])
     cc_labels, _tr = connected_components(near, cfg)

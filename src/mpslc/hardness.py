@@ -169,23 +169,22 @@ def gen_hamming_points(g: GraphInstance) -> PointSet:
 
 @dataclass(frozen=True)
 class JlParams:
-    """Projection shape: target dimension, accuracy and seed."""
+    """Projection shape: target dimension and seed."""
 
     target_dim: int
-    eps: float
     seed: Seed
 
     def __post_init__(self):
         if self.target_dim < 1:
             raise InputError("target_dim must be >= 1")
-        if not 0 < self.eps < 1:
-            raise InputError("eps must lie in (0, 1)")
 
     @classmethod
     def auto(cls, n_points: int, eps: float, seed: Seed) -> "JlParams":
         """Smallest dimension meeting target_dim >= ceil(C_JL * ln(n) / eps^2)."""
+        if not 0 < eps < 1:
+            raise InputError("eps must lie in (0, 1)")
         dim = math.ceil(C_JL * math.log(max(2, n_points)) / (eps * eps))
-        return cls(target_dim=dim, eps=eps, seed=seed)
+        return cls(target_dim=dim, seed=seed)
 
 
 def jl_project(vs: list, p: JlParams) -> PointSet:

@@ -279,8 +279,8 @@ def _boruvka(g: WeightedEdgeList, cfg: MpcConfig, kind: str):
         raise MpcContractError("merging phases exhausted with components left")
     tree = edges[taken]
     chunk_edges = max(1, s // 5)
-    n_chunks = max(1, math.ceil(m / chunk_edges)) if m else 1
-    chunk_words = 5 * min(m, chunk_edges) if m else 0
+    n_chunks = max(1, math.ceil(m / chunk_edges))
+    chunk_words = 5 * min(m, chunk_edges)
 
     rounds = [RoundStats(machines_used=n_chunks, max_words_on_any_machine=chunk_words,
                          total_messages_words=3 * m, input_words=3 * m, kind=kind)]
@@ -318,7 +318,9 @@ def connected_components(g: WeightedEdgeList, cfg: MpcConfig):
 
 def distributed_sort(n_items: int, key_words: int, cfg: MpcConfig) -> MpcTrace:
     """Account a stable sort of n_items (key of key_words words, id) items in
-    exactly 4 rounds (sample, split, exchange, gather); the caller sorts."""
+    exactly 4 rounds (sample, split, exchange, gather); the caller sorts.
+    The split round holds a chunk and 2 words per other machine on every
+    machine; a budget too small for that is refused as a CapacityError."""
     s = cfg.space_s
     total = n_items * (key_words + 1)
     m_machines, _peak = spread(total, cfg)
@@ -335,5 +337,6 @@ def distributed_sort(n_items: int, key_words: int, cfg: MpcConfig) -> MpcTrace:
     if trace.rounds > 4:
         raise MpcContractError("sort exceeded 4 rounds")
     if trace.max_words() > s:
-        raise MpcContractError("sort exceeded the per-machine space budget")
+        raise CapacityError(f"sort of {n_items} items needs {trace.max_words()} words "
+                            f"on one machine, budget allows {s}")
     return trace

@@ -44,7 +44,8 @@ class PartitionParams:
 
     alpha_grid must be integral so that cells at consecutive levels nest
     exactly; bbox_side is the enclosing box side rounded up to a power of
-    alpha_grid (zero for a degenerate all-identical point set).
+    alpha_grid, and 1 = alpha_grid^0 for points that are all identical,
+    since any box holds them.
     """
 
     alpha_grid: float
@@ -59,8 +60,8 @@ class PartitionParams:
             raise InputError("alpha_grid must be an integer >= 2")
         if self.levels < 1:
             raise InputError("levels must be >= 1")
-        if self.bbox_side < 0 or not math.isfinite(self.bbox_side):
-            raise InputError("bbox_side must be finite and nonnegative")
+        if not 0 < self.bbox_side < math.inf:
+            raise InputError("bbox_side must be positive and finite")
         if self.gamma <= 0 or self.b_cut <= 0:
             raise InputError("gamma and b_cut must be positive")
 
@@ -73,10 +74,7 @@ class PartitionParams:
     ) -> "PartitionParams":
         gamma, b_cut = metric_profile(ps.metric, ps.dim)
         spread = float(np.max(np.max(ps.points, axis=0) - np.min(ps.points, axis=0)))
-        if spread == 0.0:
-            return cls(alpha_grid=float(alpha_grid), levels=1, bbox_side=0.0,
-                       gamma=gamma, b_cut=b_cut)
-        side = _pow_at_least(float(alpha_grid), spread)
+        side = _pow_at_least(float(alpha_grid), spread) if spread > 0 else 1.0
         if levels is None:
             levels = max(1, math.ceil(math.log(max(ps.n, 2)) / math.log(alpha_grid)))
         return cls(alpha_grid=float(alpha_grid), levels=int(levels), bbox_side=side,
@@ -120,8 +118,6 @@ def sample_partition(ps: PointSet, params: PartitionParams, seed: Seed) -> Hiera
             f"{ps.metric.value} profile in dimension {ps.dim} is ({gamma}, {b_cut})"
         )
     origin = np.min(ps.points, axis=0)
-    if params.bbox_side == 0.0:
-        return HierarchicalPartition(params=params, shift=origin)
     r = rng_stream(seed, "partition-shift").uniform(0.0, params.bbox_side, size=ps.dim)
     return HierarchicalPartition(params=params, shift=origin + r)
 
@@ -134,8 +130,6 @@ def base_cell_coords(part: HierarchicalPartition, points: np.ndarray) -> np.ndar
     """
     p = part.params
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if p.bbox_side == 0.0:
-        return np.zeros(pts.shape, dtype=np.int64)
     scale = p.alpha_grid**p.levels / p.bbox_side
     return np.floor((pts - part.shift) * scale).astype(np.int64)
 
@@ -144,7 +138,7 @@ def coords_at_level(part: HierarchicalPartition, base: np.ndarray, level: int) -
     p = part.params
     if not 0 <= level <= p.levels:
         raise InputError(f"level {level} out of range [0, {p.levels}]")
-    if level == p.levels or p.bbox_side == 0.0:
+    if level == p.levels:
         return np.zeros_like(base)
     return np.floor_divide(base, int(p.alpha_grid) ** level)
 

@@ -117,10 +117,6 @@ class Clustering:
     objective: float
 
 
-def _degenerate_tree(n: int) -> SpanningTree:
-    return SpanningTree(n_vertices=n, edges=tuple((0, i, 0.0) for i in range(1, n)))
-
-
 def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) -> list:
     """Run one partition sample through all levels; returns its forest
     edges, one EDGE record array per level."""
@@ -175,10 +171,6 @@ def approximate_mst(ps: PointSet, params: SlcParams):
         )
     trace = MpcTrace()
     n = ps.n
-    if n == 1:
-        return SpanningTree(n_vertices=1, edges=()), trace
-    if params.partition.bbox_side == 0.0:
-        return _degenerate_tree(n), trace
     forests = []
     for rep in range(params.repetitions):
         forest = _one_repetition(ps, params, rep, trace)

@@ -65,16 +65,13 @@ def _covering_step(radius: float, dim: int, metric: Metric) -> float:
 def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric) -> np.ndarray:
     """Positions of the covering, ascending: the lowest position per cell
     and key. The key is the floored grid coordinates at a pitch whose
-    cells have diameter at most `radius`, the exact coordinates when the
-    radius is 0, and nothing when it is infinite."""
+    cells have diameter at most `radius`, and the exact coordinates when
+    the radius is 0. An infinite radius has an infinite pitch, so every
+    floored coordinate is 0 and the key is the cell."""
     if radius == 0:
-        owner, ids = _duplicate_owner(pts, cells), np.arange(len(pts))
-        return ids if owner is None else np.flatnonzero(owner == ids)
-    if math.isinf(radius):
-        keys = cells[:, None]
-    else:
-        step = _covering_step(radius, pts.shape[1], metric)
-        keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
+        return np.flatnonzero(_duplicate_owner(pts, cells) == np.arange(len(pts)))
+    step = _covering_step(radius, pts.shape[1], metric)
+    keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
     order, starts = row_runs(keys)
     return np.sort(order[starts])
 
@@ -269,10 +266,10 @@ def _merge_distinct(pts, labels, cells, threshold, metric, want):
 
 def _duplicate_owner(pts, cells):
     """For every position, the lowest position in its cell with equal
-    coordinates; None when no two positions can share coordinates."""
+    coordinates, or itself when no two positions can share coordinates."""
     first = np.sort(pts[:, 0])
     if not np.any(first[1:] == first[:-1]):
-        return None
+        return np.arange(len(pts))
     # + 0.0 turns -0.0 into 0.0, so equal coordinates have equal bits
     order, starts = row_runs(np.column_stack((cells, (pts + 0.0).view(np.int64))))
     owner = np.empty_like(order)
@@ -293,7 +290,7 @@ def _merge(pts, labels, cells, threshold, metric, want):
     pair of that lowest position, and only distinct points go on.
     """
     owner = _duplicate_owner(pts, cells)
-    dup = () if owner is None else np.flatnonzero(owner != np.arange(len(pts)))
+    dup = np.flatnonzero(owner != np.arange(len(pts)))
     if not len(dup):
         edges, merged = _merge_distinct(pts, labels, cells, threshold, metric, want)
     else:
@@ -334,10 +331,7 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
         threshold = eps * level_diam
         radius = eps * eps * level_diam
     want = len(np.unique(labels)) - n_cells
-    if want == 0:
-        edges, merged = np.empty(0, dtype=EDGE), labels
-    else:
-        edges, merged = _merge(pts, labels, cells, threshold, ps.metric, want)
+    edges, merged = _merge(pts, labels, cells, threshold, ps.metric, want)
     cover = _covering(pts, cells, radius, ps.metric)
     edges["u"], edges["v"] = rep_ids[edges["u"]], rep_ids[edges["v"]]
     return rep_ids[cover], merged[cover], edges

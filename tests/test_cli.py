@@ -204,3 +204,57 @@ def test_cli_capacity_error_exit_code(tmp_path):
     path = _write_points(tmp_path, n=50)
     # space budget too small for the root job -> capacity error
     assert main(["run", "--input", path, "--k", "2", "--space-s", "16"]) == 3
+
+
+def test_cli_gen_hardness_jl_eps_zero_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["gen-hardness", "--kind", "twocycles", "--n", "16",
+                 "--jl-eps", "0", "--out", str(out)]) == 2
+    assert "eps must lie in (0, 1)" in capsys.readouterr().err
+
+
+def _write_hamming(tmp_path):
+    pts = np.random.default_rng(5).integers(0, 3, (30, 3)).astype(float)
+    path = tmp_path / "h.csv"
+    write_csv(pts, str(path))
+    return str(path)
+
+
+def test_cli_hamming_small_budget_is_capacity_error(tmp_path, capsys):
+    # the mask sorts' split rounds need more than s = 20 words on a machine
+    path = _write_hamming(tmp_path)
+    assert main(["run", "--input", path, "--metric", "l0", "--k", "2",
+                 "--space-s", "20"]) == 3
+    assert "budget allows 20" in capsys.readouterr().err
+
+
+BAD_INPUTS = {
+    "k-zero": ["run", "--k", "0"],
+    "eta-nan": ["run", "--eta", "nan"],
+    "repetitions-zero": ["run", "--repetitions", "0"],
+    "space-s-8": ["run", "--space-s", "8"],
+    "k-not-int": ["run", "--k", "2,x"],
+    "metric-l7": ["run", "--metric", "l7"],
+    "jl-eps-zero": ["gen", "--jl-eps", "0"],
+    "jl-eps-above-one": ["gen", "--jl-eps", "1.5"],
+    "jl-eps-negative": ["gen", "--jl-eps", "-0.5"],
+    "xi-zero": ["gen", "--xi", "0"],
+    "hamming-n-negative": ["gen-hardness", "--kind", "hamming", "--n", "-3"],
+    "l0-space-s-20": ["l0", "--metric", "l0", "--k", "2", "--space-s", "20"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_cli_bad_input_exits_without_traceback(tmp_path, capsys, case):
+    head, *rest = BAD_INPUTS[case]
+    out = ["--out", str(tmp_path / "out")]
+    if head == "run":
+        argv = ["run", "--input", _write_points(tmp_path, n=40)] + rest
+    elif head == "l0":
+        argv = ["run", "--input", _write_hamming(tmp_path)] + rest
+    elif head == "gen":
+        argv = ["gen-hardness", "--kind", "twocycles", "--n", "16"] + rest + out
+    else:
+        argv = [head] + rest + out
+    assert main(argv) in (2, 3)
+    assert capsys.readouterr().err.startswith(("input error:", "capacity error:"))

@@ -92,6 +92,11 @@ def test_2d_fast_path_matches_general():
         assert weight == tree.total_weight()
 
 
+def test_2d_fast_path_identical_points():
+    # one distinct point: no link, one component, weight 0
+    assert hamming_mst_2d(int_ps([[3, 4]] * 4), CFG) == (0, 1)
+
+
 def test_2d_requires_two_columns():
     ps = integer_points(10, 3, seed=40)
     with pytest.raises(InputError):

@@ -150,7 +150,7 @@ def test_jl_params_auto_floor():
 def test_jl_zero_vector_maps_to_zero():
     zero_adjacent = SparsePoint(entries=(), dim=8)
     one = SparsePoint(entries=((2, 1.0),), dim=8)
-    out = jl_project([zero_adjacent, one], JlParams(target_dim=16, eps=0.2, seed=Seed(3)))
+    out = jl_project([zero_adjacent, one], JlParams(target_dim=16, seed=Seed(3)))
     assert np.allclose(out.points[0], 0.0)
     assert not np.allclose(out.points[1], 0.0)
 
@@ -195,7 +195,7 @@ def test_jl_preserves_adjacency_gap():
 
 def test_jl_deterministic_for_seed():
     vs = gen_cycle_vectors(GraphInstance.one_cycle(16))
-    p = JlParams(target_dim=32, eps=0.3, seed=Seed(9))
+    p = JlParams(target_dim=32, seed=Seed(9))
     a = jl_project(vs, p)
     b = jl_project(vs, p)
     assert np.array_equal(a.points, b.points)

@@ -279,6 +279,13 @@ def test_sort_large_input_within_budget():
     assert trace.per_round[0].machines_used == 10  # 200,000 words at s/3 each
 
 
+def test_sort_split_round_over_budget_raises_capacity_error():
+    # 30 items of one key word and an id at s = 20: 10 machines of 6 words,
+    # and the split round holds 6 + 2 * 9 = 24 words on each
+    with pytest.raises(CapacityError, match="needs 24 words on one machine, budget allows 20"):
+        distributed_sort(30, 1, MpcConfig(space_s=20))
+
+
 def test_trace_json_lines_schema():
     g = WeightedEdgeList.build(3, [(0, 1, 1.0), (1, 2, 2.0)])
     _, trace = boruvka_mst(g, MpcConfig(space_s=256))

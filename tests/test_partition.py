@@ -183,7 +183,8 @@ def test_cut_probability_monte_carlo():
 def test_degenerate_identical_points():
     ps = PointSet(points=np.zeros((5, 3)), metric=Metric.L2)
     params = PartitionParams.for_point_set(ps)
-    assert params.levels == 1 and params.bbox_side == 0.0
+    # any box holds identical points: bbox_side is alpha^0, the level count the default
+    assert params.levels == 3 and params.bbox_side == 1.0
     part = sample_partition(ps, params, Seed(0))
     assert _cell(part, ps.points[2], 0) == _cell(part, ps.points[4], 0)
 

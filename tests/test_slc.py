@@ -12,7 +12,7 @@ from mpslc.core import (
     Seed,
     UnsupportedMetricError,
 )
-from mpslc.mpc import MpcConfig, SpanningTree
+from mpslc.mpc import MpcConfig, SpanningTree, round_bound
 from mpslc.oracle import exact_mst, exhaustive_slc
 from mpslc.slc import (
     SlcParams,
@@ -22,7 +22,7 @@ from mpslc.slc import (
     verify_per_edge_guarantee,
 )
 
-from conftest import uniform_points
+from conftest import FLOAT_METRICS, uniform_points
 
 
 def chain_with_gap(n, gap=100.0):
@@ -74,7 +74,10 @@ def test_approximate_mst_single_point():
     ps = PointSet(points=np.array([[0.3, 0.4]]), metric=Metric.L2)
     tree, trace = approximate_mst(ps, SlcParams.for_point_set(ps, 0.5, Seed(1)))
     assert tree.edges == ()
-    assert trace.rounds == 0
+    # one repetition of levels 0 and 1 (the root), then Boruvka's first and
+    # last rounds on an edgeless graph
+    assert [r.kind for r in trace.per_round] == (
+        ["partition", "level", "level", "boruvka", "boruvka"])
 
 
 def test_approximate_mst_rejects_hamming():
@@ -122,6 +125,31 @@ def test_approximate_mst_all_identical():
     tree, _ = approximate_mst(ps, params)
     assert tree.total_weight() == 0.0
     assert len(tree.edges) == 5
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS, ids=lambda m: m.value)
+@pytest.mark.parametrize("n, d", [(1, 2), (6, 2), (40, 3)])
+def test_degenerate_inputs_run_the_pipeline(n, d, metric):
+    ps = PointSet(points=np.full((n, d), 0.7), metric=metric)
+    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(4))
+    tree, trace = approximate_mst(ps, params)
+    # level 0's duplicate pass joins every point to vertex 0 at weight 0
+    assert tree.edges == tuple((0, i, 0.0) for i in range(1, n))
+    kinds = [r.kind for r in trace.per_round]
+    reps, levels = params.repetitions, params.partition.levels
+    assert kinds.count("partition") == reps
+    assert kinds.count("level") == reps * (levels + 1)
+    assert kinds.count("boruvka") == trace.rounds - reps * (levels + 2)
+    assert kinds.count("boruvka") <= round_bound(n)
+    assert trace.max_words() <= params.mpc.space_s
+
+
+def test_degenerate_input_over_budget_names_the_cell():
+    ps = PointSet(points=np.zeros((50, 3)), metric=Metric.L2)
+    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(4), mpc=MpcConfig(space_s=64))
+    with pytest.raises(CapacityError) as info:
+        approximate_mst(ps, params)
+    assert str(info.value).startswith("repetition 0, level 0, cell")
 
 
 def test_approximate_mst_deterministic():
