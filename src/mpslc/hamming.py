@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InputError, Metric, PointSet, row_runs, spanning_forest
+from .core import InputError, Metric, PointSet, spanning_forest
 from .mpc import (
     EDGE,
     MpcConfig,
@@ -27,9 +27,15 @@ from .mpc import (
 )
 
 MAX_DIM = 20
+# the mask-id table is refined this many ids at a time, and the links fold
+# once this many new ones have come in
+BLOCK = 1 << 20
 
 
-def _validated_int_points(ps: PointSet) -> np.ndarray:
+def _validated_int_points(ps: PointSet) -> tuple[np.ndarray, list]:
+    """Per column, the dense rank of every point's coordinate, as an n x d
+    array, and the column's number of distinct values. The ranks come from
+    the float values, so integers of any size keep their order."""
     if ps.metric is not Metric.L0:
         raise InputError("Hamming operations require an L0-tagged point set")
     if ps.dim > MAX_DIM:
@@ -37,29 +43,80 @@ def _validated_int_points(ps: PointSet) -> np.ndarray:
     pts = ps.points
     if not np.all(pts == np.round(pts)):
         raise InputError("Hamming inputs must have integer coordinates")
-    return pts.astype(np.int64)
+    ranks = np.empty(pts.shape, dtype=np.int64)
+    sizes = []
+    for j in range(ps.dim):
+        values, ranks[:, j] = np.unique(pts[:, j], return_inverse=True)
+        sizes.append(len(values))
+    return ranks, sizes
+
+
+def _fold(held: list, n: int, d: int) -> np.ndarray:
+    """The lightest of the packed links (u n + v)(d + 1) + w per pair,
+    ascending."""
+    keys = np.sort(np.concatenate(held))
+    pair = keys // (d + 1)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    return keys[first]
 
 
 def build_auxiliary_graph(ps: PointSet, cfg: MpcConfig):
     """All mask-projected sort links, one distributed sort per mask in
     parallel: consecutive positions inside a run of equal projections, in
-    the runs' stable order.
+    ascending position order.
+
+    The masks are sorted in d array passes. Row `mask` of an int32 table
+    holds the dense id of every point's projection on `mask`; mask 0 is all
+    zeros, and mask 2^j + m refines mask m by column j: its ids are the
+    ranks of (id on m, rank in column j), one stable sort per row, whose
+    equal neighbours are that mask's links. The links fold into the
+    lightest one per pair once 2^20 new ones outnumber the folded ones.
+    Memory is the table's 2^d n 4 bytes and O(2^20 + pairs) for the links,
+    where the raw links would take 24 bytes each.
 
     Returns the links as a WeightedEdgeList (the lightest weight per pair)
     and the merged trace of the sorts.
     """
-    pts = _validated_int_points(ps)
-    n, d = pts.shape
-    links = []
-    traces = []
-    for mask in range(1 << d):
-        cols = [j for j in range(d) if (mask >> j) & 1]
-        traces.append(distributed_sort(n, len(cols), cfg))
-        # the empty mask gives every point one and the same key
-        order, starts = row_runs(pts[:, cols] if cols else np.zeros((n, 1), np.int64))
-        inside = ~starts[1:]
-        links.append(edge_array(order[:-1][inside], order[1:][inside], float(d - len(cols))))
-    return WeightedEdgeList.build(n, np.concatenate(links)), merge_parallel(traces)
+    ranks, sizes = _validated_int_points(ps)
+    n, d = ranks.shape
+    popcount = np.zeros(1 << d, dtype=np.int64)
+    for j in range(d):
+        popcount[1 << j:2 << j] = popcount[:1 << j] + 1
+    # a sort's accounting depends on its key length alone, and key lengths
+    # first appear in mask order 0, 1, 3, 7, ..., so the first refused
+    # sort is the one the masks meet first
+    by_keys = [distributed_sort(n, k, cfg) for k in range(d + 1)]
+    trace = merge_parallel([by_keys[k] for k in popcount.tolist()])
+
+    ids = np.zeros((1 << d, n), dtype=np.int32)
+    pos = np.arange(n - 1, dtype=np.int64)
+    # mask 0 gives every point one and the same key
+    held, fresh, folded = [(pos * n + pos + 1) * (d + 1) + d], n - 1, 0
+    per_block = max(1, BLOCK // n)
+    for j in range(d):
+        for a in range(0, 1 << j, per_block):
+            b = min(1 << j, a + per_block)
+            keys = ids[a:b].astype(np.int64) * sizes[j] + ranks[:, j]
+            # keys below 2^16 take numpy's radix sort
+            keys = keys.astype(np.min_scalar_type(n * sizes[j] - 1))
+            order = np.argsort(keys, axis=1, kind="stable")
+            ordered = np.take_along_axis(keys, order, axis=1)
+            new = ordered[:, 1:] != ordered[:, :-1]
+            dense = np.zeros(keys.shape, dtype=np.int32)
+            np.cumsum(new, axis=1, out=dense[:, 1:])
+            np.put_along_axis(ids[(1 << j) + a:(1 << j) + b], order, dense, axis=1)
+            row, at = np.nonzero(~new)
+            w = d - popcount[(1 << j) + a + row]
+            held.append((order[row, at] * n + order[row, at + 1]) * (d + 1) + w)
+            fresh += len(row)
+            if fresh > max(BLOCK, folded):
+                held = [_fold(held, n, d)]
+                fresh, folded = 0, len(held[0])
+    keys = _fold(held, n, d)
+    pair, w = np.divmod(keys, d + 1)
+    u, v = np.divmod(pair, n)
+    return WeightedEdgeList(n_vertices=n, edges=edge_array(u, v, w.astype(np.float64))), trace
 
 
 def hamming_mst(ps: PointSet, cfg: MpcConfig):
@@ -94,10 +151,10 @@ def hamming_mst_2d(ps: PointSet, cfg: MpcConfig):
 
     Returns (mst_weight, component_count); duplicates cost zero and drop out.
     """
-    pts = _validated_int_points(ps)
-    if pts.shape[1] != 2:
+    _validated_int_points(ps)
+    if ps.dim != 2:
         raise InputError("the 2-d fast path requires exactly two coordinates")
-    uniq = np.unique(pts, axis=0)
+    uniq = np.unique(ps.points, axis=0)
     n = len(uniq)
     aux, _trace = build_auxiliary_graph(PointSet(points=uniq, metric=Metric.L0), cfg)
     near = WeightedEdgeList(n_vertices=n, edges=aux.edges[aux.edges["w"] <= 1])

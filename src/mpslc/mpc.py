@@ -121,9 +121,10 @@ class MpcTrace:
 def merge_parallel(traces: list) -> MpcTrace:
     """Overlay traces that run concurrently: rounds align, machines add up."""
     out = MpcTrace()
-    depth = max((t.rounds for t in traces), default=0)
+    rows = [(t.per_round, t.rounds) for t in traces]
+    depth = max((count for _, count in rows), default=0)
     for i in range(depth):
-        live = [t.per_round[i] for t in traces if i < t.rounds]
+        live = [per_round[i] for per_round, count in rows if i < count]
         out.append(RoundStats(
             machines_used=sum(r.machines_used for r in live),
             max_words_on_any_machine=max(r.max_words_on_any_machine for r in live),

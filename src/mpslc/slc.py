@@ -54,8 +54,9 @@ from .unitstep import level_step
 def derive_eps(eta: float, levels: int, b: float, c1: float, c2: float) -> float:
     """Merge-step accuracy from the target approximation factor:
     eps = min(eta / (6 c1 L b), eta / (3 c2))."""
-    if min(eta, levels, b, c1, c2) <= 0:
-        raise InputError("all accuracy parameters must be positive")
+    for name, value in (("eta", eta), ("levels", levels), ("b", b), ("c1", c1), ("c2", c2)):
+        if not value > 0:
+            raise InputError(f"{name} = {value:g} must be positive")
     if eta > 3:
         warnings.warn("per-edge guarantee is only stated for eta <= 3",
                       stacklevel=2)

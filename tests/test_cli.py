@@ -228,6 +228,11 @@ def test_cli_hamming_small_budget_is_capacity_error(tmp_path, capsys):
     assert "budget allows 20" in capsys.readouterr().err
 
 
+def test_cli_eta_nan_names_eta(tmp_path, capsys):
+    assert main(["run", "--input", _write_points(tmp_path, n=40), "--eta", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("input error: eta = nan must be positive")
+
+
 BAD_INPUTS = {
     "k-zero": ["run", "--k", "0"],
     "eta-nan": ["run", "--eta", "nan"],

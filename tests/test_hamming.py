@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from mpslc.core import InputError, Metric, PointSet
+from mpslc import hamming
+from mpslc.core import CapacityError, InputError, Metric, PointSet
 from mpslc.hamming import (
     build_auxiliary_graph,
     hamming_mst,
     hamming_mst_2d,
 )
 from mpslc.hardness import GraphInstance, gen_hamming_points
-from mpslc.mpc import MpcConfig
+from mpslc.mpc import MpcConfig, distributed_sort, merge_parallel
 from mpslc.oracle import exact_mst, kruskal_edges
 from mpslc.slc import k_slc_from_mst
 
@@ -126,7 +127,7 @@ def _auxiliary_reference(ps):
     """Per mask, a stable sort over projected tuple keys links consecutive
     equal projections at the number of unselected coordinates; the
     lightest link per pair, ascending by (u, v)."""
-    pts = ps.points.astype(np.int64).tolist()
+    pts = ps.points.tolist()
     n, d = ps.n, ps.dim
     best = {}
     for mask in range(1 << d):
@@ -139,9 +140,19 @@ def _auxiliary_reference(ps):
     return [(u, v, float(best[(u, v)])) for u, v in sorted(best)]
 
 
-@pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (2, 3), (30, 1), (40, 3), (25, 8)])
-def test_auxiliary_graph_matches_sorted_reference(n, d):
-    pts = np.random.default_rng(70 + n + d).integers(0, 2, (n, d))
+AUX_SHAPES = [(1, 3), (2, 1), (2, 3), (30, 1), (40, 3), (25, 8)]
+# negative values and a span far wider than n
+WIDE = (-7, 0, 5, 10**12)
+
+
+@pytest.mark.parametrize("n,d,alphabet", (
+    [pytest.param(n, d, (0, 1), id=f"{n}-{d}") for n, d in AUX_SHAPES]
+    + [pytest.param(n, d, WIDE, id=f"{n}-{d}-wide") for n, d in AUX_SHAPES]
+    # n times the values per column passes 2^16: the sort keys are wider
+    + [pytest.param(300, 3, tuple(range(-500, 500)), id="300-3-many")]))
+def test_auxiliary_graph_matches_sorted_reference(n, d, alphabet):
+    rng = np.random.default_rng(70 + n + d)
+    pts = np.asarray(alphabet, dtype=float)[rng.integers(0, len(alphabet), (n, d))]
     if n > 2:
         pts[n // 2:n // 2 + 3] = pts[0]  # exact duplicates
     ps = int_ps(pts)
@@ -149,6 +160,76 @@ def test_auxiliary_graph_matches_sorted_reference(n, d):
     got = [(int(u), int(v), float(w)) for u, v, w in aux.edges]
     assert got == _auxiliary_reference(ps)
     assert trace.rounds == 4
+
+
+def _mask_links(pts):
+    """Every mask's links, from np.unique row ids of its projection: the
+    raw link count and the lightest link per pair, ascending by (u, v)."""
+    n, d = pts.shape
+    us, vs, ws = [], [], []
+    for mask in range(1 << d):
+        cols = [j for j in range(d) if (mask >> j) & 1]
+        row_ids = np.zeros(n, dtype=np.int64)
+        if cols:
+            row_ids = np.unique(pts[:, cols], axis=0, return_inverse=True)[1].reshape(-1)
+        order = np.argsort(row_ids, kind="stable")
+        same = row_ids[order][1:] == row_ids[order][:-1]
+        us.append(order[:-1][same])
+        vs.append(order[1:][same])
+        ws.append(np.full(int(same.sum()), d - len(cols)))
+    u, v, w = (np.concatenate(x) for x in (us, vs, ws))
+    by_pair = np.lexsort((w, v, u))
+    u, v, w = u[by_pair], v[by_pair], w[by_pair]
+    first = np.ones(len(u), dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return len(u), u[first], v[first], w[first]
+
+
+def test_auxiliary_graph_folds_many_links(monkeypatch):
+    # about 1.26 M raw links: the links fold before the last mask is sorted
+    pts = np.random.default_rng(71).integers(0, 2, (400, 12)).astype(float)
+    folds = []
+
+    def counted(*args):
+        folds.append(len(args[0]))
+        return fold(*args)
+
+    fold = hamming._fold
+    monkeypatch.setattr(hamming, "_fold", counted)
+    aux, _trace = build_auxiliary_graph(int_ps(pts), CFG)
+    raw, u, v, w = _mask_links(pts)
+    assert raw > hamming.BLOCK
+    assert len(folds) > 1
+    assert np.array_equal(aux.edges["u"], u)
+    assert np.array_equal(aux.edges["v"], v)
+    assert np.array_equal(aux.edges["w"], w)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_auxiliary_trace_is_one_sort_per_mask(d):
+    ps = int_ps(np.random.default_rng(72 + d).integers(0, 3, (40, d)))
+    cfg = MpcConfig(space_s=600)
+    _aux, trace = build_auxiliary_graph(ps, cfg)
+    want = merge_parallel([distributed_sort(ps.n, bin(mask).count("1"), cfg)
+                           for mask in range(1 << d)])
+    assert trace.per_round == want.per_round
+
+
+def test_auxiliary_small_budget_refuses_first_sort():
+    # mask 0 fits in s = 20 words; mask 1's key word does not
+    ps = int_ps(np.random.default_rng(5).integers(0, 3, (30, 3)))
+    with pytest.raises(CapacityError) as err:
+        build_auxiliary_graph(ps, MpcConfig(space_s=20))
+    assert str(err.value) == "sort of 30 items needs 24 words on one machine, budget allows 20"
+
+
+def test_huge_integer_coordinates_are_exact():
+    # beyond int64 range: each coordinate keeps its own value
+    ps = int_ps([[1e300, 0], [2e300, 0], [3e19, 1], [-3e19, 1]])
+    want = exact_mst(ps).total_weight()
+    assert want == 4.0
+    assert hamming_mst(ps, CFG)[0].total_weight() == want
+    assert hamming_mst_2d(ps, CFG) == (4, 2)
 
 
 def test_auxiliary_path_property():

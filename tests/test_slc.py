@@ -49,6 +49,14 @@ def test_derive_eps_rejects_nonpositive():
         derive_eps(0.0, 1, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("at,name", enumerate(["eta", "levels", "b", "c1", "c2"]))
+def test_derive_eps_names_a_nan_parameter(at, name):
+    args = [1.0, 1, 1.0, 1.0, 1.0]
+    args[at] = math.nan
+    with pytest.raises(InputError, match=f"^{name} = nan must be positive$"):
+        derive_eps(*args)
+
+
 def test_params_reject_inconsistent_eps():
     # eps is derived from eta, levels, b_cut, c1 and c2 and cannot be passed
     ps = uniform_points(32, 2, seed=1)
