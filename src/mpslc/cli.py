@@ -123,6 +123,7 @@ class RunConfig:
     output_path: str | None = None
     curve_path: str | None = None
     timing_repeats: int = 1
+    oracle: bool = False
 
     def echo(self) -> dict:
         return {**asdict(self), "metric": self.metric.value, "seed": self.seed.value}
@@ -174,11 +175,14 @@ def _build_tree(ps: PointSet, eta: float, seed: Seed, repetitions: int | None,
 
 
 def run_experiment(cfg: RunConfig) -> Report:
-    """One end-to-end run: build the tree, extract every requested k, and
-    cross-check against the dense oracle whenever it fits."""
+    """One end-to-end run: build the tree and extract every requested k.
+    With `cfg.oracle`, also cross-check against the dense O(n^2) oracle,
+    which refuses inputs above its cap."""
     ps = load_csv(cfg.input_path, cfg.metric)
     if cfg.normalize:
         ps = normalize_zscore(ps)
+    if cfg.oracle and ps.n > oracle.DENSE_CAP:
+        raise CapacityError("the oracle cross-check needs the dense oracle; input too large")
     wall = []
     tree = trace = None
     for _ in range(max(1, cfg.timing_repeats)):
@@ -187,7 +191,7 @@ def run_experiment(cfg: RunConfig) -> Report:
         wall.append(time.perf_counter() - t0)
     timings = {"approx_seconds": statistics.median(wall)}
     oracle_tree = None
-    if ps.n <= oracle.DENSE_CAP:
+    if cfg.oracle:
         t0 = time.perf_counter()
         oracle_tree = oracle.exact_mst(ps)
         timings["oracle_seconds"] = time.perf_counter() - t0
@@ -241,7 +245,7 @@ def _cmd_run(args) -> int:
         k_list=_parse_k_list(args.k), seed=Seed(args.seed),
         repetitions=args.repetitions, space_s=args.space_s,
         normalize=args.normalize, output_path=args.out, curve_path=args.curve,
-        timing_repeats=args.timing_repeats,
+        timing_repeats=args.timing_repeats, oracle=args.oracle,
     )
     report = run_experiment(cfg)
     if not args.out:
@@ -328,6 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--curve", default=None)
     run_p.add_argument("--timing-repeats", type=int, default=1, dest="timing_repeats")
+    run_p.add_argument("--oracle", action="store_true",
+                       help="cross-check against the dense O(n^2) exact tree")
     run_p.set_defaults(fn=_cmd_run)
 
     ver_p = sub.add_parser("verify", help="exit 0 iff the per-edge check is clean")

@@ -19,8 +19,12 @@ neighbouring buckets, shell r those of every two buckets r apart. After
 each shell Kruskal takes the pooled cross pairs that no later shell can
 undercut, and the rest stay pooled. At a pitch of twice the threshold
 one shell does; the root, which has no threshold, grows its shells until
-one component is left. Above GRID_MAX_DIM dimensions the bucket is the
-cell, paired in one shell. The engine is exact, which trivially
+one component is left. A cell with no more pairs than shell 1 has
+probes for it is paired whole in shell 1, up to the last shell's reach,
+and takes no later shell. Above GRID_MAX_DIM dimensions the bucket is
+the cell, paired in one shell. Kruskal is Filter-Kruskal: it sorts a
+prefix of the pooled pairs by weight at a time and drops the heavier
+pairs that the prefix joins. The engine is exact, which trivially
 satisfies the (1+eps)-approximate contract the caller relies on.
 """
 
@@ -49,6 +53,8 @@ GRID_MAX_DIM = 6
 _BLOCK_VALUES = 1 << 20
 # buckets per point at the level's point spacing
 _BUCKETS_PER_POINT = 2
+# pairs per live component that one Filter-Kruskal pass sorts
+_FILTER_PER_COMPONENT = 4
 
 
 def _covering_step(radius: float, dim: int, metric: Metric) -> float:
@@ -133,7 +139,7 @@ class _Grid:
             if n_cells * mult ** dim < 2 ** 62:
                 break
             pitch *= 2.0
-        self.pitch, self.reach, self.dim = pitch, reach, dim
+        self.pitch, self.reach, self.dim, self.mult = pitch, reach, dim, mult
         self.cells, self.n_cells = cells, n_cells
         self.weights = mult ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         self.keys, inv = np.unique(cells * mult ** dim + (local + reach) @ self.weights,
@@ -142,6 +148,14 @@ class _Grid:
         self.counts = np.bincount(inv, minlength=len(self.keys))
         self.starts = np.cumsum(self.counts) - self.counts
         self.bucket_cell = cells[self.members[self.starts]]
+        # a cell is paired whole in shell 1 when its pairs number no more
+        # than the probes of its first shell; with one shell, all cells are
+        # paired by it anyway
+        buckets = np.bincount(self.bucket_cell, minlength=n_cells)
+        size = np.bincount(cells, minlength=n_cells)
+        self.cell_end = np.cumsum(buckets)
+        self.whole = ((size * (size - 1) // 2 <= buckets * len(_half_shell(1, dim)))
+                      & (reach > 1))
 
     def bound(self, r: int, threshold: float) -> float:
         """Distance up to which every pair within `threshold` lies in
@@ -150,29 +164,49 @@ class _Grid:
         despite rounding, and at the threshold from the last shell on."""
         return threshold if r >= self.reach else min(threshold, (r - 0.5) * self.pitch)
 
-    def links(self, r: int, labels: np.ndarray):
-        """Bucket pairs (a, b) of shell r, each once, in the cells that
-        still hold two components, leaving out a link whose two buckets
-        hold one and the same component."""
+    def live(self, labels: np.ndarray) -> np.ndarray:
+        """Mask of the cells that still hold two components."""
         _, first = np.unique(labels, return_index=True)
-        live = np.bincount(self.cells[first], minlength=self.n_cells) > 1
-        src = np.flatnonzero(live[self.bucket_cell])
+        return np.bincount(self.cells[first], minlength=self.n_cells) > 1
+
+    def links(self, r: int, labels: np.ndarray, shell: np.ndarray, whole: np.ndarray):
+        """Bucket pairs (a, b), each once: those of shell r in the cells
+        where `shell` holds, and every two buckets at most `reach` apart in
+        the cells where `whole` holds. A link whose two buckets hold one
+        and the same component is left out."""
         ordered = labels[self.members]
         single = np.where(np.minimum.reduceat(ordered, self.starts)
                           == np.maximum.reduceat(ordered, self.starts),
                           ordered[self.starts], -1)
+        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+
+        def keep(ka, kb):
+            apart = (single[ka] < 0) | (single[ka] != single[kb])
+            a.append(ka[apart])
+            b.append(kb[apart])
+
+        src = np.flatnonzero(whole[self.bucket_cell])
+        # each bucket with itself and the later buckets of its cell
+        width = self.cell_end[self.bucket_cell[src]] - src
+        step = max(1, _BLOCK_VALUES // int(width.max(initial=1)))
+        for k in range(0, len(src), step):
+            ka = np.repeat(src[k:k + step], width[k:k + step])
+            kb = ka + _ranks(width[k:k + step])
+            key_a, key_b = self.keys[ka], self.keys[kb]
+            near = np.ones(len(ka), dtype=bool)
+            for digit in self.weights:
+                near &= np.abs(key_a // digit % self.mult
+                               - key_b // digit % self.mult) <= self.reach
+            keep(ka[near], kb[near])
+        src = np.flatnonzero(shell[self.bucket_cell])
         offs = _half_shell(r, self.dim) @ self.weights
         step = max(1, _BLOCK_VALUES // len(offs))
-        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for k in range(0, len(src), step):
             part = src[k:k + step]
             probe = (self.keys[part][:, None] + offs).ravel()
             pos = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
             hit = np.flatnonzero(self.keys[pos] == probe)
-            ka, kb = part[hit // len(offs)], pos[hit]
-            apart = (single[ka] < 0) | (single[ka] != single[kb])
-            a.append(ka[apart])
-            b.append(kb[apart])
+            keep(part[hit // len(offs)], pos[hit])
         return np.concatenate(a), np.concatenate(b)
 
     def pairs(self, a, b, max_pairs: int):
@@ -199,12 +233,33 @@ def _kruskal(pairs, labels):
     hi) order on the components of `labels`. Returns the taken pairs in
     that order and the merged labels (each the lowest label of its merged
     set).
+
+    Filter-Kruskal (Osipov, Sanders & Singler, ALENEX 2009): a pool of
+    more than twice _FILTER_PER_COMPONENT pairs per live component sorts
+    only the pairs up to the weight of that many per component. Under the
+    strict order they are a prefix, ties included; of the heavier pairs
+    only those whose ends the prefix leaves apart go on, and so on while
+    any do.
     """
-    lo, hi = pairs["u"], pairs["v"]
-    order = np.lexsort((hi, lo, pairs["w"]))
     comps, inv = np.unique(labels, return_inverse=True)
-    taken, roots, _phases = spanning_forest(inv[lo[order]], inv[hi[order]], len(comps))
-    return pairs[order[taken]], comps[roots[inv]]
+    u, v, w = inv[pairs["u"]], inv[pairs["v"]], pairs["w"]
+    roots = np.arange(len(comps))
+    taken = [np.empty(0, dtype=np.int64)]
+    rest = np.arange(len(pairs))
+    while len(rest):
+        cut = _FILTER_PER_COMPONENT * (len(comps) - sum(map(len, taken)))
+        if len(rest) > 2 * cut:
+            ws = w[rest]
+            light = ws <= np.partition(ws, cut)[cut]
+            part, rest = rest[light], rest[~light]
+        else:
+            part, rest = rest, rest[:0]
+        part = part[np.lexsort((pairs["v"][part], pairs["u"][part], w[part]))]
+        got, joined, _phases = spanning_forest(roots[u[part]], roots[v[part]], len(comps))
+        taken.append(part[got])
+        roots = joined[roots]
+        rest = rest[roots[u[rest]] != roots[v[rest]]]
+    return pairs[np.concatenate(taken)], comps[roots[inv]]
 
 
 # candidate pairs kept before they are cut to their spanning forest; this
@@ -229,7 +284,9 @@ def _candidates(pts, labels, grid, a, b, threshold, metric, pool):
         kept.append(edge_array(lo[near], hi[near], w[near]))
         size += len(kept[-1])
         if size > _MAX_KEPT:
-            kept = [_kruskal(np.concatenate(kept), labels)[0]]
+            # the blocks are freed before Kruskal runs on their concatenation
+            kept = [np.concatenate(kept)]
+            kept = [_kruskal(kept[0], labels)[0]]
             size = len(kept[0])
     return np.concatenate(kept)
 
@@ -242,26 +299,34 @@ def _merge_distinct(pts, labels, cells, threshold, metric, want):
     pairs. Every pair within grid.bound(r) has then been pooled, so
     Kruskal takes the pooled pairs up to that bound, continuing from the
     components the earlier shells left, and the rest wait for a later
-    shell. The shells end at the threshold or once `want` edges are
-    taken.
+    shell. A cell paired whole in shell 1 has all its pairs within the
+    threshold pooled there, so its bound is the threshold. The shells end
+    at the threshold, once `want` edges are taken, or once every cell
+    left to the shells holds one component.
     """
     if want == 0:
         return np.empty(0, dtype=EDGE), labels
     grid = _Grid(pts, cells, threshold)
     pool = np.empty(0, dtype=EDGE)
     edges = [np.empty(0, dtype=EDGE)]
+    live = grid.live(labels)
     for r in itertools.count(1):
-        a, b = grid.links(r, labels)
+        # from shell 2 on, `live` holds no whole cell
+        a, b = grid.links(r, labels, live & ~grid.whole, live & grid.whole)
         pairs = _candidates(pts, labels, grid, a, b, threshold, metric, pool)
         bound = grid.bound(r, threshold)
-        now = pairs["w"] <= bound
+        now = pairs["w"] <= np.where(grid.whole[cells[pairs["u"]]], threshold, bound)
         if now.any():
             taken, labels = _kruskal(pairs[now], labels)
             edges.append(taken)
             want -= len(taken)
         if want == 0 or bound >= threshold:
-            return np.concatenate(edges), labels
+            break
+        live = grid.live(labels) & ~grid.whole
+        if not live.any():
+            break
         pool = pairs[~now & (labels[pairs["u"]] != labels[pairs["v"]])]
+    return np.concatenate(edges), labels
 
 
 def _duplicate_owner(pts, cells):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mpslc import oracle
 from mpslc.cli import (
     RunConfig,
     load_csv,
@@ -99,7 +100,7 @@ def _write_points(tmp_path, n=120, d=3, seed=0):
 def test_run_experiment_ratios(tmp_path):
     path = _write_points(tmp_path, n=600, d=3)
     cfg = RunConfig(input_path=path, metric=Metric.L2, eta=0.5,
-                    k_list=list(range(2, 21)), seed=Seed(4))
+                    k_list=list(range(2, 21)), seed=Seed(4), oracle=True)
     report = run_experiment(cfg)
     assert report.edge_check["within_eta"]
     assert len(report.per_k) == 19
@@ -132,7 +133,7 @@ def test_run_experiment_hamming_path(tmp_path):
     path = tmp_path / "ham.csv"
     write_csv(pts, str(path))
     cfg = RunConfig(input_path=path, metric=Metric.L0, eta=0.5,
-                    k_list=[2, 4], seed=Seed(8))
+                    k_list=[2, 4], seed=Seed(8), oracle=True)
     report = run_experiment(cfg)
     for row in report.per_k:
         assert row["approx_objective"] == row["oracle_objective"]
@@ -153,6 +154,42 @@ def test_cli_run_and_report_files(tmp_path):
     assert len(lines) == 3
     ks = [int(l.split(",")[0]) for l in lines[1:]]
     assert ks == sorted(set(ks))
+
+
+def test_cli_run_oracle_is_opt_in(tmp_path, monkeypatch):
+    # without --oracle the dense oracle never runs and its columns stay
+    # empty; with it they are filled
+    path = _write_points(tmp_path, n=60)
+    calls = []
+    exact_mst = oracle.exact_mst
+    monkeypatch.setattr(oracle, "exact_mst", lambda ps: calls.append(ps.n) or exact_mst(ps))
+    reports = {}
+    for flag in ([], ["--oracle"]):
+        out = tmp_path / "report.json"
+        curve = tmp_path / "curve.csv"
+        assert main(["run", "--input", path, "--k", "2,4", "--out", str(out),
+                     "--curve", str(curve)] + flag) == 0
+        reports[bool(flag)] = (json.loads(out.read_text()),
+                               curve.read_text().strip().splitlines()[1:])
+    plain, plain_curve = reports[False]
+    checked, checked_curve = reports[True]
+    assert calls == [60]
+    assert plain["config"]["oracle"] is False and checked["config"]["oracle"] is True
+    assert plain["edge_check"] is None and checked["edge_check"]["within_eta"]
+    assert "oracle_seconds" not in plain["timings"] and "oracle_seconds" in checked["timings"]
+    assert all(row["oracle_objective"] is None and row["ratio"] is None
+               for row in plain["per_k"])
+    assert all(line.endswith(",,") for line in plain_curve)
+    assert all(row["oracle_objective"] is not None for row in checked["per_k"])
+    assert [line.split(",")[:2] for line in plain_curve] == \
+        [line.split(",")[:2] for line in checked_curve]
+
+
+def test_cli_run_oracle_over_cap_is_capacity_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(oracle, "DENSE_CAP", 50)
+    path = _write_points(tmp_path, n=60)
+    assert main(["run", "--input", path, "--oracle"]) == 3
+    assert main(["run", "--input", path]) == 0
 
 
 def test_cli_verify_exit_codes(tmp_path):

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpslc.core import Metric, PointSet
+from mpslc.core import Metric, PointSet, spanning_forest
+from mpslc.mpc import edge_array
 from mpslc.oracle import _row_dists, brute_closest_cross_pair, kruskal_edges, kruskal_points_mst
 from mpslc.slc import derive_eps
 from mpslc import unitstep
@@ -249,8 +250,10 @@ def _level_input(metric, seed, ties, root=False, dim=3):
 LEVEL_CASES = [pytest.param(metric, ties, level_diam, 3, id=f"{metric}-{ties}-{level_diam}")
                for metric in FLOAT_METRICS for ties in (False, True)
                for level_diam in (0.4, 2.5, math.inf)]
-# a tied 5-d root: Chebyshev shells of thousands of offsets
-LEVEL_CASES.append(pytest.param(Metric.L2, True, math.inf, 5, id="Metric.L2-True-inf-d5"))
+# tied 5-d and 6-d roots: Chebyshev shells of thousands of offsets, the
+# most at GRID_MAX_DIM
+LEVEL_CASES += [pytest.param(Metric.L2, True, math.inf, dim, id=f"Metric.L2-True-inf-d{dim}")
+                for dim in (5, 6)]
 
 
 @pytest.mark.parametrize("metric,ties,level_diam,dim", LEVEL_CASES)
@@ -381,6 +384,105 @@ def test_level_step_candidate_cut_keeps_edges(monkeypatch):
     assert cut[2].tolist() == whole[2].tolist() and len(whole[2]) > 50
     assert cut[0].tolist() == whole[0].tolist()
     assert cut[1].tolist() == whole[1].tolist()
+
+
+def _random_pool(rng, n_labels, m, weights):
+    """m random pairs (lo, hi) over n_labels positions with the given
+    weights; some pairs may join a position to itself."""
+    u = rng.integers(0, n_labels, m)
+    v = rng.integers(0, n_labels, m)
+    return edge_array(np.minimum(u, v), np.maximum(u, v), weights)
+
+
+def _plain_kruskal(pairs, labels):
+    """One lexsort in (w, lo, hi) order and one spanning forest."""
+    order = np.lexsort((pairs["v"], pairs["u"], pairs["w"]))
+    comps, inv = np.unique(labels, return_inverse=True)
+    taken, roots, _phases = spanning_forest(inv[pairs["u"][order]], inv[pairs["v"][order]],
+                                            len(comps))
+    return pairs[order[taken]], comps[roots[inv]]
+
+
+def _kruskal_pools():
+    rng = np.random.default_rng(27)
+    joined = group_labels(rng.integers(0, 30, 120))
+    ties = _random_pool(rng, 120, 3000, rng.integers(0, 6, 3000) / 4.0)
+    return {
+        "equal-weights": (_random_pool(rng, 120, 3000, 1.0), np.arange(120)),
+        "pivot-in-ties": (ties, np.arange(120)),
+        "duplicates": (np.concatenate((ties, ties[::3], ties[:500])), np.arange(120)),
+        "joined-labels": (_random_pool(rng, 120, 3000, rng.random(3000)), joined),
+        "joined-ties": (ties, joined),
+        "small": (_random_pool(rng, 120, 200, rng.random(200)), np.arange(120)),
+        "empty": (_random_pool(rng, 120, 0, 1.0), joined),
+    }
+
+
+@pytest.mark.parametrize("name", list(_kruskal_pools()))
+def test_filter_kruskal_equals_one_sort(name):
+    # Filter-Kruskal sorts a weight prefix at a time; the edges, their
+    # order and the labels must be those of one sort of the whole pool
+    pairs, labels = _kruskal_pools()[name]
+    comps = len(np.unique(labels))
+    assert (len(pairs) > 2 * unitstep._FILTER_PER_COMPONENT * comps) == \
+        (name not in ("small", "empty"))
+    got, merged = unitstep._kruskal(pairs, labels)
+    want, want_merged = _plain_kruskal(pairs, labels)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert merged.tolist() == want_merged.tolist()
+    assert len(got) == comps - len(np.unique(merged))
+
+
+def test_level_step_small_cells_beside_dense_cell_match_oracle(monkeypatch):
+    # 60 cells of 2 to 5 points, each paired whole in shell 1, and one
+    # 600-point cell that keeps its shells, in one level; small blocks
+    # and cuts leave the edges as they are
+    rng = np.random.default_rng(28)
+    sizes = np.concatenate(([600], rng.integers(2, 6, 60)))
+    cells = np.repeat(np.arange(len(sizes)), sizes)
+    centres = np.column_stack((np.arange(len(sizes)) * 3.0, np.zeros((len(sizes), 2))))
+    pts = centres[cells] + rng.uniform(0.0, np.where(cells == 0, 1.0, 0.4)[:, None],
+                                       (len(cells), 3))
+    ps = PointSet(points=pts, metric=Metric.L2)
+    ids = np.arange(len(cells), dtype=np.int64)
+    labels = group_labels(cells * 1000 + rng.integers(0, 300, len(cells)))
+    level_diam, eps = 0.5, 0.6
+    grid = unitstep._Grid(pts, cells, eps * level_diam)
+    assert grid.reach > 1
+    assert not grid.whole[0] and grid.whole[1:].all()
+    _cover, _merged, edges = level_step(ids, labels, cells, level_diam, eps, ps)
+    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, eps * level_diam))
+    assert 0 < np.sum(cells[edges["u"]] == 0) < len(edges)
+    monkeypatch.setattr(unitstep, "_BLOCK_VALUES", 60)
+    monkeypatch.setattr(unitstep, "_MAX_KEPT", 50)
+    assert level_step(ids, labels, cells, level_diam, eps, ps)[2].tolist() == edges.tolist()
+
+
+@pytest.mark.parametrize("side", (4, 16))
+def test_level_step_practical_level_visits_two_shells(monkeypatch, side):
+    # a level at practical constants: 1000 points in cells of under 50
+    # points each (side^3 cubes, the level diameter their diagonal), eps
+    # about 0.8, so the threshold spans several buckets at the point
+    # spacing; cells this small are paired whole in shell 1
+    ps = uniform_points(1000, 3, seed=29)
+    cube = np.floor(ps.points * side).astype(np.int64) @ [side * side, side, 1]
+    _, cells = np.unique(cube, return_inverse=True)
+    assert np.bincount(cells).max() < 50
+    ids = np.arange(1000, dtype=np.int64)
+    labels = group_labels(cells * 100 + np.random.default_rng(29).integers(0, 12, 1000))
+    level_diam, eps = math.sqrt(3) / side, 0.84
+    shells = [0]
+    links = unitstep._Grid.links
+
+    def counting(self, *args):
+        shells[0] += 1
+        return links(self, *args)
+
+    monkeypatch.setattr(unitstep._Grid, "links", counting)
+    _cover, _merged, edges = level_step(ids, labels, cells, level_diam, eps, ps)
+    assert 1 <= shells[0] <= 2
+    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, eps * level_diam))
 
 
 def test_level_step_bounded_level_memory_bounded():
