@@ -42,7 +42,6 @@ from .unitstep import level_step
 from .hamming import (
     build_auxiliary_graph,
     hamming_mst,
-    hamming_mst_2d,
 )
 from .hardness import (
     GraphInstance,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -122,7 +121,6 @@ class RunConfig:
     normalize: bool = False
     output_path: str | None = None
     curve_path: str | None = None
-    timing_repeats: int = 1
     oracle: bool = False
 
     def echo(self) -> dict:
@@ -183,13 +181,9 @@ def run_experiment(cfg: RunConfig) -> Report:
         ps = normalize_zscore(ps)
     if cfg.oracle and ps.n > oracle.DENSE_CAP:
         raise CapacityError("the oracle cross-check needs the dense oracle; input too large")
-    wall = []
-    tree = trace = None
-    for _ in range(max(1, cfg.timing_repeats)):
-        t0 = time.perf_counter()
-        tree, trace = _build_tree(ps, cfg.eta, cfg.seed, cfg.repetitions, cfg.space_s)
-        wall.append(time.perf_counter() - t0)
-    timings = {"approx_seconds": statistics.median(wall)}
+    t0 = time.perf_counter()
+    tree, trace = _build_tree(ps, cfg.eta, cfg.seed, cfg.repetitions, cfg.space_s)
+    timings = {"approx_seconds": time.perf_counter() - t0}
     oracle_tree = None
     if cfg.oracle:
         t0 = time.perf_counter()
@@ -245,7 +239,7 @@ def _cmd_run(args) -> int:
         k_list=_parse_k_list(args.k), seed=Seed(args.seed),
         repetitions=args.repetitions, space_s=args.space_s,
         normalize=args.normalize, output_path=args.out, curve_path=args.curve,
-        timing_repeats=args.timing_repeats, oracle=args.oracle,
+        oracle=args.oracle,
     )
     report = run_experiment(cfg)
     if not args.out:
@@ -331,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--normalize", action="store_true")
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--curve", default=None)
-    run_p.add_argument("--timing-repeats", type=int, default=1, dest="timing_repeats")
     run_p.add_argument("--oracle", action="store_true",
                        help="cross-check against the dense O(n^2) exact tree")
     run_p.set_defaults(fn=_cmd_run)

@@ -143,21 +143,3 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
         labels = uniq[cc_labels[inv]]
     return SpanningTree(n_vertices=n, edges=np.concatenate(tree)), trace
 
-
-def hamming_mst_2d(ps: PointSet, cfg: MpcConfig):
-    """Fast path for d = 2: the optimum weight is n + c - 2 where c counts
-    components of the share-a-coordinate subgraph over distinct points,
-    that is of their auxiliary links of weight at most 1.
-
-    Returns (mst_weight, component_count); duplicates cost zero and drop out.
-    """
-    _validated_int_points(ps)
-    if ps.dim != 2:
-        raise InputError("the 2-d fast path requires exactly two coordinates")
-    uniq = np.unique(ps.points, axis=0)
-    n = len(uniq)
-    aux, _trace = build_auxiliary_graph(PointSet(points=uniq, metric=Metric.L0), cfg)
-    near = WeightedEdgeList(n_vertices=n, edges=aux.edges[aux.edges["w"] <= 1])
-    cc_labels, _tr = connected_components(near, cfg)
-    c = len(np.unique(cc_labels))
-    return n + c - 2, c

@@ -20,12 +20,15 @@ each shell Kruskal takes the pooled cross pairs that no later shell can
 undercut, and the rest stay pooled. At a pitch of twice the threshold
 one shell does; the root, which has no threshold, grows its shells until
 one component is left. A cell with no more pairs than shell 1 has
-probes for it is paired whole in shell 1, up to the last shell's reach,
-and takes no later shell. Above GRID_MAX_DIM dimensions the bucket is
-the cell, paired in one shell. Kruskal is Filter-Kruskal: it sorts a
-prefix of the pooled pairs by weight at a time and drops the heavier
-pairs that the prefix joins. The engine is exact, which trivially
-satisfies the (1+eps)-approximate contract the caller relies on.
+probes for it takes all pairs of the cell, as one run, in shell 1, and
+no later shell. A shell streams runs of the level's members in blocks,
+a whole cell with itself or the two buckets of each probe hit, and the
+pairs of one block are measured and pooled before the next block is
+made. Above GRID_MAX_DIM dimensions the bucket is the cell, paired in
+one shell. Kruskal is Filter-Kruskal: it sorts a prefix of the pooled
+pairs by weight at a time and drops the heavier pairs that the prefix
+joins. The engine is exact, which trivially satisfies the
+(1+eps)-approximate contract the caller relies on.
 """
 
 from __future__ import annotations
@@ -105,7 +108,9 @@ def _half_shell(r: int, dim: int) -> np.ndarray:
 
 class _Grid:
     """A level's points in one bucket grid, keys ascending: bucket k holds
-    positions members[starts[k]: starts[k] + counts[k]], ascending.
+    positions members[starts[k]: starts[k] + counts[k]], ascending, and
+    the buckets of cell c make up the one run of cell_size[c] members
+    from cell_start[c].
 
     The key packs the cell with the floored offset from the cell's lowest
     point, at one pitch for the whole level: 2 * threshold where that is
@@ -139,8 +144,7 @@ class _Grid:
             if n_cells * mult ** dim < 2 ** 62:
                 break
             pitch *= 2.0
-        self.pitch, self.reach, self.dim, self.mult = pitch, reach, dim, mult
-        self.cells, self.n_cells = cells, n_cells
+        self.pitch, self.reach, self.dim = pitch, reach, dim
         self.weights = mult ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         self.keys, inv = np.unique(cells * mult ** dim + (local + reach) @ self.weights,
                                    return_inverse=True)
@@ -153,7 +157,7 @@ class _Grid:
         # paired by it anyway
         buckets = np.bincount(self.bucket_cell, minlength=n_cells)
         size = np.bincount(cells, minlength=n_cells)
-        self.cell_end = np.cumsum(buckets)
+        self.cell_start, self.cell_size = np.cumsum(size) - size, size
         self.whole = ((size * (size - 1) // 2 <= buckets * len(_half_shell(1, dim)))
                       & (reach > 1))
 
@@ -164,40 +168,18 @@ class _Grid:
         despite rounding, and at the threshold from the last shell on."""
         return threshold if r >= self.reach else min(threshold, (r - 0.5) * self.pitch)
 
-    def live(self, labels: np.ndarray) -> np.ndarray:
-        """Mask of the cells that still hold two components."""
-        _, first = np.unique(labels, return_index=True)
-        return np.bincount(self.cells[first], minlength=self.n_cells) > 1
-
     def links(self, r: int, labels: np.ndarray, shell: np.ndarray, whole: np.ndarray):
-        """Bucket pairs (a, b), each once: those of shell r in the cells
-        where `shell` holds, and every two buckets at most `reach` apart in
-        the cells where `whole` holds. A link whose two buckets hold one
-        and the same component is left out."""
+        """Runs of `members` to pair, in blocks (start_a, count_a, start_b,
+        count_b): first every cell where `whole` holds, as one run with
+        itself, then the bucket pairs of shell r in the cells where
+        `shell` holds, each once, one probe block at a time. A bucket
+        pair that holds one and the same component is left out."""
+        start, size = self.cell_start[whole], self.cell_size[whole]
+        yield start, size, start, size
         ordered = labels[self.members]
         single = np.where(np.minimum.reduceat(ordered, self.starts)
                           == np.maximum.reduceat(ordered, self.starts),
                           ordered[self.starts], -1)
-        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-
-        def keep(ka, kb):
-            apart = (single[ka] < 0) | (single[ka] != single[kb])
-            a.append(ka[apart])
-            b.append(kb[apart])
-
-        src = np.flatnonzero(whole[self.bucket_cell])
-        # each bucket with itself and the later buckets of its cell
-        width = self.cell_end[self.bucket_cell[src]] - src
-        step = max(1, _BLOCK_VALUES // int(width.max(initial=1)))
-        for k in range(0, len(src), step):
-            ka = np.repeat(src[k:k + step], width[k:k + step])
-            kb = ka + _ranks(width[k:k + step])
-            key_a, key_b = self.keys[ka], self.keys[kb]
-            near = np.ones(len(ka), dtype=bool)
-            for digit in self.weights:
-                near &= np.abs(key_a // digit % self.mult
-                               - key_b // digit % self.mult) <= self.reach
-            keep(ka[near], kb[near])
         src = np.flatnonzero(shell[self.bucket_cell])
         offs = _half_shell(r, self.dim) @ self.weights
         step = max(1, _BLOCK_VALUES // len(offs))
@@ -206,17 +188,21 @@ class _Grid:
             probe = (self.keys[part][:, None] + offs).ravel()
             pos = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
             hit = np.flatnonzero(self.keys[pos] == probe)
-            keep(part[hit // len(offs)], pos[hit])
-        return np.concatenate(a), np.concatenate(b)
+            a, b = part[hit // len(offs)], pos[hit]
+            # the probe block is freed before its pairs are made
+            del probe, pos, hit
+            apart = (single[a] < 0) | (single[a] != single[b])
+            a, b = a[apart], b[apart]
+            yield self.starts[a], self.counts[a], self.starts[b], self.counts[b]
 
-    def pairs(self, a, b, max_pairs: int):
-        """Position pairs of the links in blocks of about max_pairs: every
-        point of bucket a[k] with every point of bucket b[k], or, where
-        a[k] == b[k], each unordered pair inside the bucket once."""
-        ca = self.counts[a]
-        rows = np.repeat(self.starts[a], ca) + _ranks(ca)
-        first = np.where(np.repeat(a == b, ca), rows + 1, np.repeat(self.starts[b], ca))
-        width = np.repeat(self.starts[b] + self.counts[b], ca) - first
+    def pairs(self, start_a, count_a, start_b, count_b, max_pairs: int):
+        """Position pairs of the runs of `members` in blocks of about
+        max_pairs: every member of run a[k] with every member of run b[k],
+        or, where the two runs are one, each unordered pair inside it once."""
+        rows = np.repeat(start_a, count_a) + _ranks(count_a)
+        first = np.where(np.repeat(start_a == start_b, count_a), rows + 1,
+                         np.repeat(start_b, count_a))
+        width = np.repeat(start_b + count_b, count_a) - first
         cum = np.cumsum(width)
         lo = 0
         while lo < len(rows):
@@ -267,31 +253,40 @@ def _kruskal(pairs, labels):
 _MAX_KEPT = 1 << 20
 
 
-def _candidates(pts, labels, grid, a, b, threshold, metric, pool):
-    """`pool` and the cross pairs of the links (a, b) within `threshold`,
-    as EDGE records (lo, hi, w). Whenever more than _MAX_KEPT accumulate
-    they are cut to their minimum spanning forest, which keeps Kruskal's
-    result: under a strict order no edge off the forest of a subset is in
-    the forest of the whole."""
+def _candidates(pts, labels, grid, runs, threshold, metric, pool):
+    """`pool` and the cross pairs within `threshold` of the run blocks
+    `runs`, taken one block at a time, as EDGE records (lo, hi, w).
+    Whenever more than _MAX_KEPT accumulate they are cut to their minimum
+    spanning forest, which keeps Kruskal's result: under a strict order
+    no edge off the forest of a subset is in the forest of the whole."""
     kept = [pool]
     size = len(pool)
-    for u, v in grid.pairs(a, b, max(1, _BLOCK_VALUES // pts.shape[1])):
-        cross = labels[u] != labels[v]
-        lo = np.minimum(u[cross], v[cross])
-        hi = np.maximum(u[cross], v[cross])
-        w = pair_distances(pts, lo, hi, metric)
-        near = w <= threshold
-        kept.append(edge_array(lo[near], hi[near], w[near]))
-        size += len(kept[-1])
-        if size > _MAX_KEPT:
-            # the blocks are freed before Kruskal runs on their concatenation
-            kept = [np.concatenate(kept)]
-            kept = [_kruskal(kept[0], labels)[0]]
-            size = len(kept[0])
+    for block in runs:
+        for u, v in grid.pairs(*block, max(1, _BLOCK_VALUES // pts.shape[1])):
+            cross = labels[u] != labels[v]
+            lo = np.minimum(u[cross], v[cross])
+            hi = np.maximum(u[cross], v[cross])
+            w = pair_distances(pts, lo, hi, metric)
+            near = w <= threshold
+            kept.append(edge_array(lo[near], hi[near], w[near]))
+            # freed before the next block of pairs or of probes is made
+            del u, v, cross, lo, hi, w, near
+            size += len(kept[-1])
+            if size > _MAX_KEPT:
+                # the blocks are freed before Kruskal runs on their concatenation
+                kept = [np.concatenate(kept)]
+                kept = [_kruskal(kept[0], labels)[0]]
+                size = len(kept[0])
     return np.concatenate(kept)
 
 
-def _merge_distinct(pts, labels, cells, threshold, metric, want):
+def _live(labels, cells):
+    """Mask of the cells that still hold two components."""
+    _, first = np.unique(labels, return_index=True)
+    return np.bincount(cells[first], minlength=int(cells.max()) + 1) > 1
+
+
+def _merge_distinct(pts, labels, cells, threshold, metric):
     """Kruskal's edges of every cell of distinct points, as EDGE records
     (lo, hi, w) in (w, lo, hi) order, and the merged labels.
 
@@ -301,28 +296,27 @@ def _merge_distinct(pts, labels, cells, threshold, metric, want):
     components the earlier shells left, and the rest wait for a later
     shell. A cell paired whole in shell 1 has all its pairs within the
     threshold pooled there, so its bound is the threshold. The shells end
-    at the threshold, once `want` edges are taken, or once every cell
-    left to the shells holds one component.
+    at the threshold, or once every cell left to the shells holds one
+    component; a level where no cell holds two builds no grid.
     """
-    if want == 0:
+    live = _live(labels, cells)
+    if not live.any():
         return np.empty(0, dtype=EDGE), labels
     grid = _Grid(pts, cells, threshold)
     pool = np.empty(0, dtype=EDGE)
     edges = [np.empty(0, dtype=EDGE)]
-    live = grid.live(labels)
     for r in itertools.count(1):
         # from shell 2 on, `live` holds no whole cell
-        a, b = grid.links(r, labels, live & ~grid.whole, live & grid.whole)
-        pairs = _candidates(pts, labels, grid, a, b, threshold, metric, pool)
+        runs = grid.links(r, labels, live & ~grid.whole, live & grid.whole)
+        pairs = _candidates(pts, labels, grid, runs, threshold, metric, pool)
         bound = grid.bound(r, threshold)
         now = pairs["w"] <= np.where(grid.whole[cells[pairs["u"]]], threshold, bound)
         if now.any():
             taken, labels = _kruskal(pairs[now], labels)
             edges.append(taken)
-            want -= len(taken)
-        if want == 0 or bound >= threshold:
+        if bound >= threshold:
             break
-        live = grid.live(labels) & ~grid.whole
+        live = _live(labels, cells) & ~grid.whole
         if not live.any():
             break
         pool = pairs[~now & (labels[pairs["u"]] != labels[pairs["v"]])]
@@ -342,11 +336,11 @@ def _duplicate_owner(pts, cells):
     return owner
 
 
-def _merge(pts, labels, cells, threshold, metric, want):
+def _merge(pts, labels, cells, threshold, metric):
     """Kruskal within every cell over the pairs of two components at most
-    `threshold` apart, in (w, lo, hi) order, stopping after `want` edges.
-    Returns the edges as EDGE records (lo, hi, w) in that order and the
-    merged labels (each the lowest label of its merged set).
+    `threshold` apart, in (w, lo, hi) order. Returns the edges as EDGE
+    records (lo, hi, w) in that order and the merged labels (each the
+    lowest label of its merged set).
 
     Exact duplicates, and only they, are at distance 0 (up to l2 pairs so
     close that every squared coordinate difference underflows), so
@@ -357,12 +351,12 @@ def _merge(pts, labels, cells, threshold, metric, want):
     owner = _duplicate_owner(pts, cells)
     dup = np.flatnonzero(owner != np.arange(len(pts)))
     if not len(dup):
-        edges, merged = _merge_distinct(pts, labels, cells, threshold, metric, want)
+        edges, merged = _merge_distinct(pts, labels, cells, threshold, metric)
     else:
         taken, labels = _kruskal(edge_array(owner[dup], dup, 0.0), labels)
         keep = np.flatnonzero(owner == np.arange(len(pts)))
         edges, merged = _merge_distinct(pts[keep], labels[keep], cells[keep], threshold,
-                                        metric, want - len(taken))
+                                        metric)
         edges["u"], edges["v"] = keep[edges["u"]], keep[edges["v"]]
         edges = np.concatenate((edges, taken))
         merged = merged[np.searchsorted(keep, owner)]
@@ -387,16 +381,14 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     EDGE records on global ids with u < v, in (w, u, v) order).
     """
     pts = ps.points[rep_ids]
-    n_cells = int(cells.max()) + 1
     if math.isinf(level_diam):
-        if n_cells > 1:
+        if cells.max() > 0:
             raise InputError("an unbounded level runs one cell, the root")
         threshold = radius = math.inf
     else:
         threshold = eps * level_diam
         radius = eps * eps * level_diam
-    want = len(np.unique(labels)) - n_cells
-    edges, merged = _merge(pts, labels, cells, threshold, ps.metric, want)
+    edges, merged = _merge(pts, labels, cells, threshold, ps.metric)
     cover = _covering(pts, cells, radius, ps.metric)
     edges["u"], edges["v"] = rep_ids[edges["u"]], rep_ids[edges["v"]]
     return rep_ids[cover], merged[cover], edges

@@ -3,11 +3,7 @@ import pytest
 
 from mpslc import hamming
 from mpslc.core import CapacityError, InputError, Metric, PointSet
-from mpslc.hamming import (
-    build_auxiliary_graph,
-    hamming_mst,
-    hamming_mst_2d,
-)
+from mpslc.hamming import build_auxiliary_graph, hamming_mst
 from mpslc.hardness import GraphInstance, gen_hamming_points
 from mpslc.mpc import MpcConfig, distributed_sort, merge_parallel
 from mpslc.oracle import exact_mst, kruskal_edges
@@ -75,33 +71,22 @@ def test_rejects_wrong_metric_tag():
 
 def test_2d_fast_path_example():
     ps = int_ps([[1, 1], [2, 2], [1, 2]])
-    weight, c = hamming_mst_2d(ps, CFG)
-    assert (weight, c) == (2, 1)
+    assert hamming_mst(ps, CFG)[0].total_weight() == 2
 
 
 def test_2d_fast_path_disjoint_pair():
     ps = int_ps([[0, 0], [1, 1]])
-    weight, c = hamming_mst_2d(ps, CFG)
-    assert (weight, c) == (2, 2)
+    assert hamming_mst(ps, CFG)[0].total_weight() == 2
 
 
 def test_2d_fast_path_matches_general():
     for seed in range(5):
         ps = integer_points(500, 2, seed=30 + seed, alphabet=8)
-        weight, _ = hamming_mst_2d(ps, CFG)
-        tree, _ = hamming_mst(ps, CFG)
-        assert weight == tree.total_weight()
+        assert hamming_mst(ps, CFG)[0].total_weight() == exact_mst(ps).total_weight()
 
 
 def test_2d_fast_path_identical_points():
-    # one distinct point: no link, one component, weight 0
-    assert hamming_mst_2d(int_ps([[3, 4]] * 4), CFG) == (0, 1)
-
-
-def test_2d_requires_two_columns():
-    ps = integer_points(10, 3, seed=40)
-    with pytest.raises(InputError):
-        hamming_mst_2d(ps, CFG)
+    assert hamming_mst(int_ps([[3, 4]] * 4), CFG)[0].total_weight() == 0
 
 
 def _k_slc(ps, k):
@@ -229,7 +214,6 @@ def test_huge_integer_coordinates_are_exact():
     want = exact_mst(ps).total_weight()
     assert want == 4.0
     assert hamming_mst(ps, CFG)[0].total_weight() == want
-    assert hamming_mst_2d(ps, CFG) == (4, 2)
 
 
 def test_auxiliary_path_property():

@@ -459,6 +459,64 @@ def test_level_step_small_cells_beside_dense_cell_match_oracle(monkeypatch):
     assert level_step(ids, labels, cells, level_diam, eps, ps)[2].tolist() == edges.tolist()
 
 
+def test_level_step_wide_whole_cells_match_oracle(monkeypatch):
+    # 60 cells of 3 to 6 singletons spread over unit cubes, each paired
+    # whole in shell 1, beside a settled 1000-point cell that keeps the
+    # point spacing small: some whole cells hold buckets more than `reach`
+    # apart, with the threshold below their width, and every pair of a
+    # whole cell is measured at most once
+    rng = np.random.default_rng(30)
+    sizes = np.concatenate(([1000], rng.integers(3, 7, 60)))
+    cells = np.repeat(np.arange(len(sizes)), sizes)
+    centres = np.column_stack((np.arange(len(sizes)) * 3.0, np.zeros((len(sizes), 2))))
+    pts = centres[cells] + rng.uniform(0.0, np.where(cells == 0, 0.05, 1.0)[:, None],
+                                       (len(cells), 3))
+    ps = PointSet(points=pts, metric=Metric.L2)
+    ids = np.arange(len(cells), dtype=np.int64)
+    labels = np.where(cells == 0, 0, ids)
+    level_diam, eps = 0.5, 0.7
+    threshold = eps * level_diam
+    grid = unitstep._Grid(pts, cells, threshold)
+    assert grid.reach > 1
+    assert not grid.whole[0] and grid.whole[1:].all()
+    low = np.full((len(sizes), 3), np.inf)
+    np.minimum.at(low, cells, pts)
+    far = np.floor((pts - low[cells]) / grid.pitch).max(axis=1) > grid.reach
+    assert far[cells > 0].any() and grid.reach * grid.pitch > threshold
+    seen = count_pair_distances(monkeypatch)
+    _cover, _merged, edges = level_step(ids, labels, cells, level_diam, eps, ps)
+    assert 0 < seen[0] <= np.sum(sizes[1:] * (sizes[1:] - 1) // 2)
+    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, threshold))
+    monkeypatch.setattr(unitstep, "_BLOCK_VALUES", 60)
+    monkeypatch.setattr(unitstep, "_MAX_KEPT", 50)
+    assert level_step(ids, labels, cells, level_diam, eps, ps)[2].tolist() == edges.tolist()
+
+
+@pytest.mark.parametrize("duplicates", (False, True))
+def test_level_step_settled_level_builds_no_grid(monkeypatch, duplicates):
+    # every cell holds one component: no grid, no pair distance, no edge
+    rng = np.random.default_rng(31)
+    cells = np.repeat(np.arange(40), rng.integers(1, 30, 40))
+    pts = cells[:, None] * 5.0 + rng.uniform(0.0, 1.0, (len(cells), 3))
+    if duplicates:
+        pts, cells = np.repeat(pts, 2, axis=0), np.repeat(cells, 2)
+    ps = PointSet(points=pts, metric=Metric.L2)
+    ids = np.arange(len(cells), dtype=np.int64)
+    labels = group_labels(cells)
+    grids = [0]
+    init = unitstep._Grid.__init__
+
+    def counting(self, *args):
+        grids[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(unitstep._Grid, "__init__", counting)
+    seen = count_pair_distances(monkeypatch)
+    cover, cover_labels, edges = level_step(ids, labels, cells, 4.0, 0.5, ps)
+    assert grids[0] == 0 and seen[0] == 0 and len(edges) == 0
+    assert cover_labels.tolist() == labels[cover].tolist()
+
+
 @pytest.mark.parametrize("side", (4, 16))
 def test_level_step_practical_level_visits_two_shells(monkeypatch, side):
     # a level at practical constants: 1000 points in cells of under 50
