@@ -11,7 +11,6 @@ from .core import (
     derive_seed,
     distance,
     rng_stream,
-    sparse_distance,
 )
 from .mpc import (
     MpcConfig,

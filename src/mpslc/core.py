@@ -230,40 +230,6 @@ class SparsePoint:
         return out
 
 
-def sparse_distance(u: SparsePoint, v: SparsePoint, metric: Metric) -> float:
-    """Distance between sparse vectors; equals `distance` on densified inputs.
-
-    Coordinates missing from both vectors are implicit zeros and contribute
-    nothing under any of the four metrics.
-    """
-    if u.dim != v.dim:
-        raise InputError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    diffs = []
-    i = j = 0
-    eu, ev = u.entries, v.entries
-    while i < len(eu) or j < len(ev):
-        if j >= len(ev) or (i < len(eu) and eu[i][0] < ev[j][0]):
-            diffs.append(eu[i][1])
-            i += 1
-        elif i >= len(eu) or ev[j][0] < eu[i][0]:
-            diffs.append(-ev[j][1])
-            j += 1
-        else:
-            diffs.append(eu[i][1] - ev[j][1])
-            i += 1
-            j += 1
-    if not diffs:
-        return 0.0
-    arr = np.abs(np.asarray(diffs, dtype=np.float64))
-    if metric is Metric.L0:
-        return float(np.count_nonzero(arr))
-    if metric is Metric.L1:
-        return float(np.sum(arr))
-    if metric is Metric.L2:
-        return float(np.sqrt(np.sum(arr * arr)))
-    return float(np.max(arr))
-
-
 @dataclass(frozen=True)
 class Seed:
     """64-bit seed; identical seeds yield bit-identical random streams."""

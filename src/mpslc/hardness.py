@@ -87,10 +87,6 @@ class GraphInstance:
         edges += tuple((half + i, half + (i + 1) % half) for i in range(half))
         return cls(n_vertices=n, edges=edges, kind=GraphKind.TWO_CYCLES)
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "GraphInstance":
-        return cls(n_vertices=n, edges=tuple(edges), kind=GraphKind.ARBITRARY)
-
     def degrees(self) -> np.ndarray:
         ends = np.asarray(self.edges, dtype=np.int64).ravel()
         return np.bincount(ends, minlength=self.n_vertices)
@@ -199,7 +195,15 @@ def jl_project(vs: list, p: JlParams) -> PointSet:
     rng = rng_stream(p.seed, "jl-matrix")
     mat = rng.standard_normal((p.target_dim, dim)) / math.sqrt(p.target_dim)
     out = np.zeros((len(vs), p.target_dim), dtype=np.float64)
-    for row, v in enumerate(vs):
-        for idx, val in v.entries:
-            out[row] += val * mat[:, idx]
+    counts = np.array([len(v.entries) for v in vs])
+    entries = np.array([e for v in vs for e in v.entries]).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(vs)), counts)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # one pass per entry slot adds each row's entries in their order, as
+    # one loop over the entries would; products are made in place
+    for k in range(int(counts.max())):
+        at = slot == k
+        term = mat.T[entries[at, 0].astype(np.int64)]
+        term *= entries[at, 1][:, None]
+        out[rows[at]] += term
     return PointSet(points=out, metric=Metric.L2)

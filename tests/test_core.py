@@ -17,13 +17,12 @@ from mpslc.core import (
     pair_distances,
     rng_stream,
     row_runs,
-    sparse_distance,
     spanning_forest,
 )
 from mpslc.hardness import GraphInstance, gen_cycle_vectors
 from mpslc.oracle import kruskal_edges
 
-from conftest import FLOAT_METRICS
+from conftest import FLOAT_METRICS, sparse_distance
 
 
 def test_distance_l2_pythagorean():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mpslc.core import InputError, Metric, Seed, sparse_distance
+from mpslc.core import InputError, Metric, Seed, rng_stream
 from mpslc.hardness import (
     GraphInstance,
     GraphKind,
@@ -14,6 +14,8 @@ from mpslc.hardness import (
     jl_project,
 )
 from mpslc.core import SparsePoint
+
+from conftest import graph_from_edges, sparse_distance
 
 ADJ_L2 = math.sqrt(2.0) * math.sqrt(2.0 - math.sqrt(2.0))
 RATIO_L2 = math.sqrt(2.0 + math.sqrt(2.0))
@@ -54,13 +56,13 @@ def test_cycle_distances_l1():
 
 
 def test_cycle_rejects_non_two_regular():
-    g = GraphInstance.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(InputError):
         gen_cycle_vectors(g)
 
 
 def test_cycle_rejects_short_cycles():
-    g = GraphInstance.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    g = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(InputError):
         gen_cycle_vectors(g)
 
@@ -89,13 +91,13 @@ def test_edge_vectors_shapes_and_distances():
 
 
 def test_edge_vectors_reject_isolated():
-    g = GraphInstance.from_edges(3, [(0, 1)])
+    g = graph_from_edges(3, [(0, 1)])
     with pytest.raises(InputError):
         gen_edge_vectors(g)
 
 
 def test_hamming_points_single_edge():
-    g = GraphInstance.from_edges(2, [(0, 1)])
+    g = graph_from_edges(2, [(0, 1)])
     ps = gen_hamming_points(g)
     rows = {tuple(r) for r in ps.points.astype(int)}
     assert rows == {(0, 0), (1, 1), (0, 1)}
@@ -110,9 +112,9 @@ def test_hamming_points_count():
 
 def test_graph_instance_validation():
     with pytest.raises(InputError):
-        GraphInstance.from_edges(3, [(0, 0)])
+        graph_from_edges(3, [(0, 0)])
     with pytest.raises(InputError):
-        GraphInstance.from_edges(3, [(0, 1), (1, 0)])
+        graph_from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
         GraphInstance(n_vertices=6, edges=((0, 1), (1, 2), (2, 0)),
                       kind=GraphInstance.one_cycle(6).kind)
@@ -121,12 +123,12 @@ def test_graph_instance_validation():
 def test_cycle_lengths_and_degrees():
     five = [(i, (i + 1) % 5) for i in range(5)]
     seven = [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
-    g = GraphInstance.from_edges(12, five + seven)
+    g = graph_from_edges(12, five + seven)
     assert g.cycle_lengths() == [5, 7]
     assert g.degrees().tolist() == [2] * 12
     with pytest.raises(InputError):
         GraphInstance(n_vertices=12, edges=tuple(five + seven), kind=GraphKind.TWO_CYCLES)
-    path = GraphInstance.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert path.cycle_lengths() == []
     assert path.degrees().tolist() == [1, 2, 2, 1]
     # disjoint cycles of known lengths on shuffled vertex ids
@@ -139,7 +141,7 @@ def test_cycle_lengths_and_degrees():
             ring = ids[start:start + length]
             edges += [(int(ring[i]), int(ring[(i + 1) % length])) for i in range(length)]
             start += length
-        assert GraphInstance.from_edges(len(ids), edges).cycle_lengths() == sorted(lengths)
+        assert graph_from_edges(len(ids), edges).cycle_lengths() == sorted(lengths)
 
 
 def test_jl_params_auto_floor():
@@ -199,3 +201,31 @@ def test_jl_deterministic_for_seed():
     a = jl_project(vs, p)
     b = jl_project(vs, p)
     assert np.array_equal(a.points, b.points)
+
+
+def _jl_project_by_entries(vs, p):
+    """The projection as one loop over every vector's entries in order."""
+    rng = rng_stream(p.seed, "jl-matrix")
+    mat = rng.standard_normal((p.target_dim, vs[0].dim)) / math.sqrt(p.target_dim)
+    out = np.zeros((len(vs), p.target_dim))
+    for row, v in enumerate(vs):
+        for idx, val in v.entries:
+            out[row] += val * mat[:, idx]
+    return out
+
+
+def test_jl_project_matches_entry_loop_bit_for_bit():
+    # one pass per entry slot does each row's float operations in the
+    # order of the entry loop, so the points are equal to the last bit
+    cases = [(gen_cycle_vectors(GraphInstance.one_cycle(400)), JlParams.auto(400, 0.5, Seed(1))),
+             (gen_cycle_vectors(GraphInstance.two_cycles(400)), JlParams.auto(400, 0.5, Seed(2)))]
+    rng = np.random.default_rng(41)
+    random = []
+    for count in rng.integers(1, 6, 300):
+        idx = np.sort(rng.choice(50, count, replace=False))
+        vals = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 8, count)
+        random.append(SparsePoint(entries=tuple(zip(idx.tolist(), vals.tolist())), dim=50))
+    cases.append((random, JlParams(target_dim=33, seed=Seed(5))))
+    for vs, p in cases:
+        got = jl_project(vs, p).points
+        assert got.view(np.int64).tolist() == _jl_project_by_entries(vs, p).view(np.int64).tolist()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpslc.core import Metric, PointSet, spanning_forest
-from mpslc.mpc import edge_array
+from mpslc.mpc import EDGE, edge_array
 from mpslc.oracle import _row_dists, brute_closest_cross_pair, kruskal_edges, kruskal_points_mst
 from mpslc.slc import derive_eps
 from mpslc import unitstep
@@ -250,10 +250,10 @@ def _level_input(metric, seed, ties, root=False, dim=3):
 LEVEL_CASES = [pytest.param(metric, ties, level_diam, 3, id=f"{metric}-{ties}-{level_diam}")
                for metric in FLOAT_METRICS for ties in (False, True)
                for level_diam in (0.4, 2.5, math.inf)]
-# tied 5-d and 6-d roots: Chebyshev shells of thousands of offsets, the
-# most at GRID_MAX_DIM
-LEVEL_CASES += [pytest.param(Metric.L2, True, math.inf, dim, id=f"Metric.L2-True-inf-d{dim}")
-                for dim in (5, 6)]
+# tied 5-d and 6-d roots: stages of thousands of offsets, the most at
+# GRID_MAX_DIM, and under l1 the most stages
+LEVEL_CASES += [pytest.param(metric, True, math.inf, dim, id=f"{metric}-True-inf-d{dim}")
+                for metric in (Metric.L2, Metric.L1) for dim in (5, 6)]
 
 
 @pytest.mark.parametrize("metric,ties,level_diam,dim", LEVEL_CASES)
@@ -448,7 +448,7 @@ def test_level_step_small_cells_beside_dense_cell_match_oracle(monkeypatch):
     ids = np.arange(len(cells), dtype=np.int64)
     labels = group_labels(cells * 1000 + rng.integers(0, 300, len(cells)))
     level_diam, eps = 0.5, 0.6
-    grid = unitstep._Grid(pts, cells, eps * level_diam)
+    grid = unitstep._Grid(pts, cells, eps * level_diam, Metric.L2)
     assert grid.reach > 1
     assert not grid.whole[0] and grid.whole[1:].all()
     _cover, _merged, edges = level_step(ids, labels, cells, level_diam, eps, ps)
@@ -476,7 +476,7 @@ def test_level_step_wide_whole_cells_match_oracle(monkeypatch):
     labels = np.where(cells == 0, 0, ids)
     level_diam, eps = 0.5, 0.7
     threshold = eps * level_diam
-    grid = unitstep._Grid(pts, cells, threshold)
+    grid = unitstep._Grid(pts, cells, threshold, Metric.L2)
     assert grid.reach > 1
     assert not grid.whole[0] and grid.whole[1:].all()
     low = np.full((len(sizes), 3), np.inf)
@@ -609,3 +609,152 @@ def test_level_step_tied_root_breaks_ties_by_ids(metric):
     cells = np.zeros(300, dtype=np.int64)
     _cover, _merged, edges = level_step(ids, ids, cells, math.inf, 0.5, ps)
     assert_same_edges(edges, oracle_level_edges(ps, ids, ids, cells, math.inf))
+
+
+def _half_cube(lim, dim):
+    """The offsets in [-lim, lim]^dim that are zero or whose first nonzero
+    coordinate is positive."""
+    offs = np.indices((2 * lim + 1,) * dim).reshape(dim, -1).T - lim
+    first = offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)]
+    return offs[first >= 0]
+
+
+def _keys(offs, lim):
+    """One sorted integer per offset row in [-lim, lim]^dim."""
+    radix = (2 * lim + 1) ** np.arange(offs.shape[1], dtype=np.int64)
+    return np.sort((offs.astype(np.int64) + lim) @ radix)
+
+
+def _gap_below(offs, metric, r):
+    """Whether each offset's gap, the metric norm of max(|o| - 1, 0), is
+    below r - 1/2, in integers: 4 |t|^2 < (2 r - 1)^2 under l2."""
+    t = np.maximum(np.abs(offs) - 1, 0)
+    if metric is Metric.L1:
+        return t.sum(axis=1) < r
+    if metric is Metric.L2:
+        return 4 * (t * t).sum(axis=1) < (2 * r - 1) ** 2
+    return t.max(axis=1) < r
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS)
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_stages_partition_offsets_by_metric_gap(metric, dim):
+    # each offset of a half cube lies in exactly one stage
+    lim = 2
+    cube = _half_cube(lim, dim)
+    stages = [unitstep._half_shell(r, lim, dim, metric) for r in range(1, dim * lim + 2)]
+    assert np.array_equal(_keys(np.concatenate(stages), lim), _keys(cube, lim))
+    for r in range(1, 6):
+        cube = _half_cube(r, dim)
+        # the stages up to r hold every offset with gap below r - 1/2, once
+        near = np.concatenate([unitstep._half_shell(s, r, dim, metric) for s in range(1, r + 1)])
+        assert np.array_equal(_keys(near, r), _keys(cube[_gap_below(cube, metric, r)], r))
+        # under linf stage r is the Chebyshev shell r; stage 1, every
+        # offset of at most 1, is that shell under every metric
+        if metric is Metric.LINF or r == 1:
+            shell = cube if r == 1 else cube[np.abs(cube).max(axis=1) == r]
+            assert np.array_equal(_keys(unitstep._half_shell(r, r, dim, metric), r),
+                                  _keys(shell, r))
+
+
+@pytest.mark.parametrize("root", (False, True))
+def test_level_step_lone_points_skip_the_pass(monkeypatch, root):
+    # a level of lone points: nothing can merge or leave the covering, so
+    # its inputs come back as they are and neither pass runs
+    ps = uniform_points(60, 3, seed=32)
+    ids = np.arange(0, 60, 3, dtype=np.int64)[:1 if root else None]
+    labels = ids.copy()
+    cells = np.random.default_rng(32).permutation(len(ids))
+    calls = []
+    monkeypatch.setattr(unitstep, "_merge", lambda *args: calls.append("merge"))
+    monkeypatch.setattr(unitstep, "_covering", lambda *args: calls.append("covering"))
+    cover, cover_labels, edges = level_step(ids, labels, cells, math.inf if root else 0.5,
+                                            0.5, ps)
+    assert calls == []
+    assert cover.tolist() == ids.tolist() and cover_labels.tolist() == labels.tolist()
+    assert edges.dtype == EDGE and len(edges) == 0
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS)
+@pytest.mark.parametrize("eps", (0.0, 0.5))
+def test_level_step_lone_points_beside_shared_cells(metric, eps):
+    # lone points between cells of 2 to 8 points, duplicates among them:
+    # the edges are the oracle's, and the covering and its labels are
+    # those of one pass over every cell of the level
+    rng = np.random.default_rng(33)
+    sizes = np.where(rng.random(90) < 0.5, 1, rng.integers(2, 9, 90))
+    cells = rng.permutation(np.repeat(np.arange(90), sizes))
+    pts = cells[:, None] * 3.0 + rng.integers(0, 3, (len(cells), 3)) * 0.25
+    ps = PointSet(points=pts, metric=metric)
+    ids = np.arange(len(cells), dtype=np.int64)
+    labels = group_labels(cells * 10 + rng.integers(0, 3, len(cells)))
+    level_diam = 2.0
+    cover, cover_labels, edges = level_step(ids, labels, cells, level_diam, eps, ps)
+    threshold = eps * level_diam
+    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, threshold))
+    assert 0.0 in edges["w"].tolist()
+    whole = unitstep._covering(pts, cells, eps * eps * level_diam, metric)
+    _edges, merged = unitstep._merge(pts, labels, cells, threshold, metric)
+    assert cover.tolist() == whole.tolist()
+    assert cover_labels.tolist() == merged[whole].tolist()
+
+
+def shifted_points(dim, seed):
+    """l2 points 2^20 from the origin in two groups 0.5 apart in every
+    coordinate, so a cell is wide and its nearest pairs close: 120 with
+    noise of 1e-3, 100 on a lattice of step 2^-10, 20 lattice neighbours
+    sqrt(2) 2^-10 away (a tie with the lattice pairs one diagonal apart),
+    and exact duplicates of 15 noise and 15 lattice points."""
+    rng = np.random.default_rng(seed)
+    noise = rng.uniform(0.0, 1e-3, (120, dim)) + 0.5 * (rng.random((120, 1)) < 0.5)
+    lattice = (rng.integers(0, 3, (100, dim)) * 2.0 ** -10
+               + 0.5 * (rng.random((100, 1)) < 0.5))
+    step = np.zeros(dim)
+    step[:2] = 2.0 ** -10
+    pts = np.concatenate((noise, lattice, lattice[:20] + step, noise[:15], lattice[:15]))
+    return PointSet(points=pts[rng.permutation(len(pts))] + 2.0 ** 20, metric=Metric.L2)
+
+
+@pytest.mark.parametrize("dim", (8, 64))
+@pytest.mark.parametrize("bounded", (True, False))
+def test_level_step_gram_bound_on_shifted_points(monkeypatch, dim, bounded):
+    # above GRID_MAX_DIM an l2 level measures only the pairs its Gram
+    # lower bound admits. Far from the origin, with ties and duplicates,
+    # at the root and on a bounded level of three cells whose threshold
+    # is the tied distance, the edges are still the oracle's
+    ps = shifted_points(dim, seed=34 + dim)
+    n = ps.n
+    ids = np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(dim)
+    tie = math.sqrt(2.0) * 2.0 ** -10
+    # eps = 1/2 makes the threshold eps * level_diam the tie exactly
+    level_diam = 2.0 * tie if bounded else math.inf
+    cells = rng.integers(0, 3, n) if bounded else np.zeros(n, dtype=np.int64)
+    labels = group_labels(cells * 1000 + rng.integers(0, 200, n))
+    seen = count_pair_distances(monkeypatch)
+    _cover, _merged, edges = level_step(ids, labels, cells, level_diam, 0.5, ps)
+    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, 0.5 * level_diam))
+    sizes = np.bincount(cells)
+    assert 0 < seen[0] < np.sum(sizes * (sizes - 1) // 2) // 4
+    assert 0.0 in edges["w"].tolist() and (tie in edges["w"].tolist() or not bounded)
+    # blocks of a few rows that cross cell ends, and candidate cuts, give
+    # the same edges
+    monkeypatch.setattr(unitstep, "_BLOCK_VALUES", 300)
+    monkeypatch.setattr(unitstep, "_MAX_KEPT", 50)
+    assert level_step(ids, labels, cells, level_diam, 0.5, ps)[2].tolist() == edges.tolist()
+
+
+def test_level_step_gram_root_memory_bounded():
+    # a 5000-point root at d = 64: one m x m Gram array would take 200 MB
+    n = 5000
+    ps = uniform_points(n, 64, seed=35)
+    ids = np.arange(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _cover, merged, edges = level_step(ids, ids, np.zeros(n, dtype=np.int64),
+                                           math.inf, 0.5, ps)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == n - 1 and len(np.unique(merged)) == 1
+    assert peak < 64 * 2**20
