@@ -52,48 +52,25 @@ def load_csv(path: str, metric: Metric = Metric.L2) -> PointSet:
     return PointSet(points=np.asarray(rows, dtype=np.float64), metric=metric)
 
 
+def _write(path: str, lines) -> None:
+    """Write the text lines to path; an unwritable path is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(points: np.ndarray, path: str) -> None:
     """Full-precision decimal output; reading it back is bit-exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(points):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    _write(path, (",".join(repr(float(x)) for x in row) + "\n"
+                  for row in np.atleast_2d(points)))
 
 
 def write_sparse(vs: list, path: str) -> None:
     """One line per vector: dim;idx:val,idx:val,..."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in vs:
-            body = ",".join(f"{i}:{repr(val)}" for i, val in v.entries)
-            fh.write(f"{v.dim};{body}\n")
-
-
-def load_sparse(path: str) -> list:
-    from .core import SparsePoint
-
-    out = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                head, _, body = text.partition(";")
-                dim = int(head)
-                entries = []
-                if body:
-                    for item in body.split(","):
-                        idx, _, val = item.partition(":")
-                        entries.append((int(idx), float(val)))
-                out.append(SparsePoint(entries=tuple(entries), dim=dim))
-            except (ValueError, InputError) as exc:
-                raise InputError(f"{path}:{lineno}: bad sparse record ({exc})") from exc
-    if not out:
-        raise InputError(f"{path}: no data rows")
-    return out
+    _write(path, (f"{v.dim};{','.join(f'{i}:{val!r}' for i, val in v.entries)}\n"
+                  for v in vs))
 
 
 def normalize_zscore(ps: PointSet) -> PointSet:
@@ -218,11 +195,9 @@ def run_experiment(cfg: RunConfig) -> Report:
                  edge_check=edge_check, rounds=trace.rounds,
                  trace_summary=summary, timings=timings)
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
+        _write(cfg.output_path, [rep.to_json()])
     if cfg.curve_path:
-        with open(cfg.curve_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rep.curve_rows()) + "\n")
+        _write(cfg.curve_path, [row + "\n" for row in rep.curve_rows()])
     return rep
 
 
@@ -266,8 +241,7 @@ def _cmd_trace_dump(args) -> int:
                                args.space_s)
     text = trace.to_json_lines()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, [text])
     else:
         sys.stdout.write(text)
     return 0

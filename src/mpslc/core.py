@@ -42,32 +42,6 @@ class Metric(Enum):
         raise InputError(f"unknown metric {name!r}; expected one of l0, l1, l2, linf")
 
 
-def _reduce(a, b, metric: Metric, axis: int):
-    """Distances between broadcast rows of a and b along `axis`; L0 counts
-    coordinates that differ under exact equality."""
-    if metric is Metric.L0:
-        return np.count_nonzero(a != b, axis=axis).astype(np.float64)
-    d = a - b
-    if metric is Metric.L1:
-        return np.sum(np.abs(d), axis=axis)
-    if metric is Metric.L2:
-        return np.sqrt(np.sum(d * d, axis=axis))
-    return np.max(np.abs(d), axis=axis)
-
-
-def distance(u, v, metric: Metric) -> float:
-    """Exact distance between two equal-dimension vectors under the metric.
-
-    L0 counts differing coordinates (exact equality test), LINF is the
-    maximum absolute coordinate difference.
-    """
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(_reduce(a, b, metric, -1)) if a.size else 0.0
-
-
 # float64 values in one chunk of `pair_distances`' gathered endpoints:
 # 256 KB, so a chunk's two endpoint blocks stay in a core's L2 cache
 _CHUNK = 1 << 15
@@ -75,8 +49,8 @@ _CHUNK = 1 << 15
 
 def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric) -> np.ndarray:
     """Distances between rows pts[u[k]] and pts[v[k]] for every k, made
-    in place chunk by chunk and reduced along each row into the output:
-    the operations of `_reduce`, so every distance is bit for bit the same."""
+    in place chunk by chunk and reduced along each row into the output,
+    so every distance is bit for bit that of one unchunked reduction."""
     out = np.empty(len(u))
     step = max(1, _CHUNK // pts.shape[1])
     for k in range(0, len(u), step):

@@ -104,13 +104,6 @@ class MpcTrace:
         for r in other.per_round:
             self.per_round.append(replace(r, segment=r.segment + offset))
 
-    def segments(self):
-        """Rounds grouped by (segment, kind), in first-appearance order."""
-        groups: dict = {}
-        for r in self.per_round:
-            groups.setdefault((r.segment, r.kind), []).append(r)
-        return groups
-
     def to_json_lines(self) -> str:
         """One JSON object per round: its index and every RoundStats field."""
         lines = [json.dumps({"round": i, **asdict(r)}, sort_keys=True)
@@ -209,9 +202,6 @@ class SpanningTree:
 
     def sorted_weights(self) -> np.ndarray:
         return np.asarray([w for _, _, w in self.edges], dtype=np.float64)
-
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
 
 
 def run_level(sizes, cfg: MpcConfig) -> RoundStats:

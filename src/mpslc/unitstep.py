@@ -48,12 +48,12 @@ from .core import (
     InputError,
     Metric,
     PointSet,
-    UnsupportedMetricError,
     pair_distances,
     row_runs,
     spanning_forest,
 )
 from .mpc import EDGE, edge_array
+from .partition import metric_profile
 
 GRID_MAX_DIM = 6
 # bucket probes, Gram entries, or candidate pairs x d, in one block;
@@ -66,17 +66,6 @@ _BUCKETS_PER_POINT = 2
 _FILTER_PER_COMPONENT = 4
 
 
-def _covering_step(radius: float, dim: int, metric: Metric) -> float:
-    """Grid pitch whose cells have metric diameter at most `radius`."""
-    if metric is Metric.L1:
-        return radius / dim
-    if metric is Metric.L2:
-        return radius / math.sqrt(dim)
-    if metric is Metric.LINF:
-        return radius
-    raise UnsupportedMetricError("coverings are defined for L1, L2 and LINF only")
-
-
 def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric) -> np.ndarray:
     """Positions of the covering, ascending: the lowest position per cell
     and key. The key is the floored grid coordinates at a pitch whose
@@ -85,7 +74,7 @@ def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric)
     floored coordinate is 0 and the key is the cell."""
     if radius == 0:
         return np.flatnonzero(_duplicate_owner(pts, cells) == np.arange(len(pts)))
-    step = _covering_step(radius, pts.shape[1], metric)
+    step = radius / metric_profile(metric, pts.shape[1])[0]
     keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
     order, starts = row_runs(keys)
     return np.sort(order[starts])

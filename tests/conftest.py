@@ -53,3 +53,8 @@ def sparse_distance(u: SparsePoint, v: SparsePoint, metric: Metric) -> float:
 def graph_from_edges(n: int, edges) -> GraphInstance:
     """A graph of kind ARBITRARY on n vertices; the edges are validated."""
     return GraphInstance(n_vertices=n, edges=tuple(edges), kind=GraphKind.ARBITRARY)
+
+
+def total_weight(tree) -> float:
+    """Sum of a spanning tree's edge weights, taken in its (w, u, v) order."""
+    return float(sum(w for _, _, w in tree.edges))

@@ -8,6 +8,7 @@ contracts on the traces those runs produced.
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -317,10 +318,11 @@ def test_criterion_5_mpc_contracts(criterion1_runs, criterion2_runs):
                 space_bad += 1
             if r.kind == "level" and r.machines_used > 3 * r.input_words / s + 1:
                 machines_bad += 1
-        for (seg, kind), rounds in trace.segments().items():
-            if kind in ("boruvka", "connectivity") and len(rounds) > bound:
+        segments = Counter((r.segment, r.kind) for r in trace.per_round)
+        for (seg, kind), rounds in segments.items():
+            if kind in ("boruvka", "connectivity") and rounds > bound:
                 rounds_bad += 1
-            if kind == "sort" and len(rounds) > 4:
+            if kind == "sort" and rounds > 4:
                 rounds_bad += 1
     ok = space_bad == 0 and rounds_bad == 0 and machines_bad == 0
     _line("5 (MPC contracts)", ok,

@@ -7,17 +7,44 @@ from mpslc import oracle
 from mpslc.cli import (
     RunConfig,
     load_csv,
-    load_sparse,
     main,
     normalize_zscore,
     run_experiment,
     write_csv,
     write_sparse,
 )
-from mpslc.core import InputError, Metric, PointSet, Seed
+from mpslc.core import InputError, Metric, PointSet, Seed, SparsePoint
 from mpslc.hardness import GraphInstance, gen_cycle_vectors
 
 from conftest import uniform_points
+
+
+def load_sparse(path: str) -> list:
+    """The vectors of a file that `write_sparse` wrote."""
+    out = []
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                head, _, body = text.partition(";")
+                dim = int(head)
+                entries = []
+                if body:
+                    for item in body.split(","):
+                        idx, _, val = item.partition(":")
+                        entries.append((int(idx), float(val)))
+                out.append(SparsePoint(entries=tuple(entries), dim=dim))
+            except (ValueError, InputError) as exc:
+                raise InputError(f"{path}:{lineno}: bad sparse record ({exc})") from exc
+    if not out:
+        raise InputError(f"{path}: no data rows")
+    return out
 
 
 def test_load_csv_basic(tmp_path):
@@ -270,6 +297,9 @@ def test_cli_eta_nan_names_eta(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: eta = nan must be positive")
 
 
+# an output path in a directory that does not exist
+NO_DIR = "{tmp}/missing/out"
+
 BAD_INPUTS = {
     "k-zero": ["run", "--k", "0"],
     "eta-nan": ["run", "--eta", "nan"],
@@ -283,6 +313,11 @@ BAD_INPUTS = {
     "xi-zero": ["gen", "--xi", "0"],
     "hamming-n-negative": ["gen-hardness", "--kind", "hamming", "--n", "-3"],
     "l0-space-s-20": ["l0", "--metric", "l0", "--k", "2", "--space-s", "20"],
+    "run-out-no-dir": ["run", "--out", NO_DIR],
+    "run-curve-no-dir": ["run", "--curve", NO_DIR],
+    "trace-dump-out-no-dir": ["trace-dump", "--out", NO_DIR],
+    "gen-sparse-out-no-dir": ["gen", "--out", NO_DIR],
+    "gen-csv-out-no-dir": ["gen", "--jl-eps", "0.3", "--out", NO_DIR],
 }
 
 
@@ -290,13 +325,14 @@ BAD_INPUTS = {
 def test_cli_bad_input_exits_without_traceback(tmp_path, capsys, case):
     head, *rest = BAD_INPUTS[case]
     out = ["--out", str(tmp_path / "out")]
-    if head == "run":
-        argv = ["run", "--input", _write_points(tmp_path, n=40)] + rest
+    if head in ("run", "trace-dump"):
+        argv = [head, "--input", _write_points(tmp_path, n=40)] + rest
     elif head == "l0":
         argv = ["run", "--input", _write_hamming(tmp_path)] + rest
     elif head == "gen":
-        argv = ["gen-hardness", "--kind", "twocycles", "--n", "16"] + rest + out
+        argv = ["gen-hardness", "--kind", "twocycles", "--n", "16"] + out + rest
     else:
-        argv = [head] + rest + out
+        argv = [head] + out + rest
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) in (2, 3)
     assert capsys.readouterr().err.startswith(("input error:", "capacity error:"))

@@ -12,8 +12,6 @@ from mpslc.core import (
     Seed,
     SparsePoint,
     derive_seed,
-    distance,
-    _reduce,
     pair_distances,
     rng_stream,
     row_runs,
@@ -23,6 +21,32 @@ from mpslc.hardness import GraphInstance, gen_cycle_vectors
 from mpslc.oracle import kruskal_edges
 
 from conftest import FLOAT_METRICS, sparse_distance
+
+
+def _reduce(a, b, metric: Metric, axis: int):
+    """Distances between broadcast rows of a and b along `axis`; L0 counts
+    coordinates that differ under exact equality."""
+    if metric is Metric.L0:
+        return np.count_nonzero(a != b, axis=axis).astype(np.float64)
+    d = a - b
+    if metric is Metric.L1:
+        return np.sum(np.abs(d), axis=axis)
+    if metric is Metric.L2:
+        return np.sqrt(np.sum(d * d, axis=axis))
+    return np.max(np.abs(d), axis=axis)
+
+
+def distance(u, v, metric: Metric) -> float:
+    """Exact distance between two equal-dimension vectors under the metric.
+
+    L0 counts differing coordinates (exact equality test), LINF is the
+    maximum absolute coordinate difference.
+    """
+    a = np.asarray(u, dtype=np.float64)
+    b = np.asarray(v, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(_reduce(a, b, metric, -1)) if a.size else 0.0
 
 
 def test_distance_l2_pythagorean():

@@ -9,7 +9,7 @@ from mpslc.mpc import MpcConfig, distributed_sort, merge_parallel
 from mpslc.oracle import exact_mst, kruskal_edges
 from mpslc.slc import k_slc_from_mst
 
-from conftest import integer_points
+from conftest import integer_points, total_weight
 
 CFG = MpcConfig(space_s=16384)
 
@@ -29,13 +29,13 @@ def test_three_point_example():
     ps = int_ps([[0, 0], [0, 1], [5, 5]])
     tree, _ = hamming_mst(ps, CFG)
     assert sorted(w for _, _, w in tree.edges) == [1.0, 2.0]
-    assert tree.total_weight() == 3.0
+    assert total_weight(tree) == 3.0
 
 
 def test_all_identical_zero_weight():
     ps = int_ps([[2, 2, 2]] * 5)
     tree, _ = hamming_mst(ps, CFG)
-    assert tree.total_weight() == 0.0
+    assert total_weight(tree) == 0.0
     assert len(tree.edges) == 4
 
 
@@ -71,22 +71,22 @@ def test_rejects_wrong_metric_tag():
 
 def test_2d_fast_path_example():
     ps = int_ps([[1, 1], [2, 2], [1, 2]])
-    assert hamming_mst(ps, CFG)[0].total_weight() == 2
+    assert total_weight(hamming_mst(ps, CFG)[0]) == 2
 
 
 def test_2d_fast_path_disjoint_pair():
     ps = int_ps([[0, 0], [1, 1]])
-    assert hamming_mst(ps, CFG)[0].total_weight() == 2
+    assert total_weight(hamming_mst(ps, CFG)[0]) == 2
 
 
 def test_2d_fast_path_matches_general():
     for seed in range(5):
         ps = integer_points(500, 2, seed=30 + seed, alphabet=8)
-        assert hamming_mst(ps, CFG)[0].total_weight() == exact_mst(ps).total_weight()
+        assert total_weight(hamming_mst(ps, CFG)[0]) == total_weight(exact_mst(ps))
 
 
 def test_2d_fast_path_identical_points():
-    assert hamming_mst(int_ps([[3, 4]] * 4), CFG)[0].total_weight() == 0
+    assert total_weight(hamming_mst(int_ps([[3, 4]] * 4), CFG)[0]) == 0
 
 
 def _k_slc(ps, k):
@@ -211,9 +211,9 @@ def test_auxiliary_small_budget_refuses_first_sort():
 def test_huge_integer_coordinates_are_exact():
     # beyond int64 range: each coordinate keeps its own value
     ps = int_ps([[1e300, 0], [2e300, 0], [3e19, 1], [-3e19, 1]])
-    want = exact_mst(ps).total_weight()
+    want = total_weight(exact_mst(ps))
     assert want == 4.0
-    assert hamming_mst(ps, CFG)[0].total_weight() == want
+    assert total_weight(hamming_mst(ps, CFG)[0]) == want
 
 
 def test_auxiliary_path_property():

@@ -22,7 +22,7 @@ from mpslc.slc import (
     verify_per_edge_guarantee,
 )
 
-from conftest import FLOAT_METRICS, uniform_points
+from conftest import FLOAT_METRICS, total_weight, uniform_points
 
 
 def chain_with_gap(n, gap=100.0):
@@ -103,7 +103,7 @@ def test_approximate_mst_collinear():
     ws = tree.sorted_weights()
     assert len(ws) == 4
     assert np.all(ws <= 1.5)
-    assert tree.total_weight() <= 4 * 1.5
+    assert total_weight(tree) <= 4 * 1.5
 
 
 def test_approximate_mst_chain_gap():
@@ -131,7 +131,7 @@ def test_approximate_mst_all_identical():
     ps = PointSet(points=np.zeros((6, 2)), metric=Metric.L2)
     params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(9))
     tree, _ = approximate_mst(ps, params)
-    assert tree.total_weight() == 0.0
+    assert total_weight(tree) == 0.0
     assert len(tree.edges) == 5
 
 
