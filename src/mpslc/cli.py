@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -52,13 +53,22 @@ def load_csv(path: str, metric: Metric = Metric.L2) -> PointSet:
     return PointSet(points=np.asarray(rows, dtype=np.float64), metric=metric)
 
 
-def _write(path: str, lines) -> None:
+def _write(path: str, lines, mode: str = "w") -> None:
     """Write the text lines to path; an unwritable path is an input error."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.writelines(lines)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _probe(path: str) -> None:
+    """Raise `_write`'s input error now if path cannot be written. An
+    existing file keeps its contents; a file the probe made is removed."""
+    existed = os.path.exists(path)
+    _write(path, [], "a")
+    if not existed:
+        os.remove(path)
 
 
 def write_csv(points: np.ndarray, path: str) -> None:
@@ -152,12 +162,15 @@ def _build_tree(ps: PointSet, eta: float, seed: Seed, repetitions: int | None,
 def run_experiment(cfg: RunConfig) -> Report:
     """One end-to-end run: build the tree and extract every requested k.
     With `cfg.oracle`, also cross-check against the dense O(n^2) oracle,
-    which refuses inputs above its cap."""
+    which refuses inputs above its cap. The output paths are probed
+    before the tree is built, so an unwritable one fails at once."""
     ps = load_csv(cfg.input_path, cfg.metric)
     if cfg.normalize:
         ps = normalize_zscore(ps)
     if cfg.oracle and ps.n > oracle.DENSE_CAP:
         raise CapacityError("the oracle cross-check needs the dense oracle; input too large")
+    for path in filter(None, (cfg.output_path, cfg.curve_path)):
+        _probe(path)
     t0 = time.perf_counter()
     tree, trace = _build_tree(ps, cfg.eta, cfg.seed, cfg.repetitions, cfg.space_s)
     timings = {"approx_seconds": time.perf_counter() - t0}

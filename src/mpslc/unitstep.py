@@ -14,7 +14,8 @@ induced component labels on the covering.
 A point alone in its cell can neither merge nor leave the covering, so
 the pass runs on the cells of two points or more and the lone points
 rejoin its output. Exact duplicates join the lowest position in their
-cell with the same coordinates at weight 0 and take no further part.
+cell with the same coordinates at weight 0, and the merge and the
+covering run over the distinct points.
 
 An exact distance is measured only for a pair that no certified lower
 bound rules out, as dual-tree Boruvka (March, Ram & Gray, KDD 2010) and
@@ -67,17 +68,17 @@ _FILTER_PER_COMPONENT = 4
 
 
 def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric) -> np.ndarray:
-    """Positions of the covering, ascending: the lowest position per cell
+    """Positions of the covering, unordered: the lowest position per cell
     and key. The key is the floored grid coordinates at a pitch whose
-    cells have diameter at most `radius`, and the exact coordinates when
-    the radius is 0. An infinite radius has an infinite pitch, so every
-    floored coordinate is 0 and the key is the cell."""
+    cells have diameter at most `radius`, and, the points being distinct,
+    the position when the radius is 0. An infinite radius has an infinite
+    pitch, so every floored coordinate is 0 and the key is the cell."""
     if radius == 0:
-        return np.flatnonzero(_duplicate_owner(pts, cells) == np.arange(len(pts)))
+        return np.arange(len(pts))
     step = radius / metric_profile(metric, pts.shape[1])[0]
     keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
     order, starts = row_runs(keys)
-    return np.sort(order[starts])
+    return order[starts]
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -459,33 +460,6 @@ def _duplicate_owner(pts, cells):
     return owner
 
 
-def _merge(pts, labels, cells, threshold, metric):
-    """Kruskal within every cell over the pairs of two components at most
-    `threshold` apart, in (w, lo, hi) order. Returns the edges as EDGE
-    records (lo, hi, w) in that order and the merged labels (each the
-    lowest label of its merged set).
-
-    Exact duplicates, and only they, are at distance 0 (up to l2 pairs so
-    close that every squared coordinate difference underflows), so
-    Kruskal first joins each to the lowest position in its cell with its
-    coordinates. After that no pair of a duplicate comes before the same
-    pair of that lowest position, and only distinct points go on.
-    """
-    owner = _duplicate_owner(pts, cells)
-    dup = np.flatnonzero(owner != np.arange(len(pts)))
-    if not len(dup):
-        edges, merged = _merge_distinct(pts, labels, cells, threshold, metric)
-    else:
-        taken, labels = _kruskal(edge_array(owner[dup], dup, 0.0), labels)
-        keep = np.flatnonzero(owner == np.arange(len(pts)))
-        edges, merged = _merge_distinct(pts[keep], labels[keep], cells[keep], threshold,
-                                        metric)
-        edges["u"], edges["v"] = keep[edges["u"]], keep[edges["v"]]
-        edges = np.concatenate((edges, taken))
-        merged = merged[np.searchsorted(keep, owner)]
-    return edges[np.lexsort((edges["v"], edges["u"], edges["w"]))], merged
-
-
 def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
                level_diam: float, eps: float, ps: PointSet):
     """One level's merge pass over all of its cells: in every cell, emit
@@ -503,6 +477,12 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     The pass runs on the cells of two points or more, numbered densely in
     order with positions ascending, so every tie rule holds; the lone
     points rejoin its output, and a level of lone points comes back whole.
+    Exact duplicates, and only they, are at distance 0 (up to l2 pairs so
+    close that every squared coordinate difference underflows), so Kruskal
+    first joins each to the lowest position in its cell with its
+    coordinates; no pair of a duplicate then comes before the same pair of
+    that position, and a level with duplicates narrows to the distinct
+    points for the merge and the covering.
 
     Returns (covering ids in ascending order, their labels, tree edges as
     EDGE records on global ids with u < v, in (w, u, v) order).
@@ -518,12 +498,20 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     keep = np.flatnonzero(shared[cells])
     if not len(keep):
         return rep_ids, labels, np.empty(0, dtype=EDGE)
-    ids, sub = rep_ids[keep], (np.cumsum(shared) - 1)[cells[keep]]
-    pts = ps.points[ids]
-    edges, merged = _merge(pts, labels[keep], sub, threshold, ps.metric)
+    sub = (np.cumsum(shared) - 1)[cells[keep]]
+    pts = ps.points[rep_ids[keep]]
+    labels = labels.copy()
+    owner = _duplicate_owner(pts, sub)
+    distinct = owner == np.arange(len(keep))
+    joined = np.empty(0, dtype=EDGE)
+    if not distinct.all():
+        dup = np.flatnonzero(~distinct)
+        joined, labels[keep] = _kruskal(edge_array(owner[dup], dup, 0.0), labels[keep])
+        joined["u"], joined["v"] = rep_ids[keep[joined["u"]]], rep_ids[keep[joined["v"]]]
+        keep, sub, pts = keep[distinct], sub[distinct], pts[distinct]
+    edges, labels[keep] = _merge_distinct(pts, labels[keep], sub, threshold, ps.metric)
+    edges["u"], edges["v"] = rep_ids[keep[edges["u"]]], rep_ids[keep[edges["v"]]]
+    edges = np.concatenate((edges, joined))
     out = ~shared[cells]
     out[keep[_covering(pts, sub, radius, ps.metric)]] = True
-    labels = labels.copy()
-    labels[keep] = merged
-    edges["u"], edges["v"] = ids[edges["u"]], ids[edges["v"]]
-    return rep_ids[out], labels[out], edges
+    return rep_ids[out], labels[out], edges[np.lexsort((edges["v"], edges["u"], edges["w"]))]

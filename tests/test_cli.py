@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mpslc import oracle
+from mpslc import cli, oracle
 from mpslc.cli import (
     RunConfig,
     load_csv,
@@ -13,7 +13,7 @@ from mpslc.cli import (
     write_csv,
     write_sparse,
 )
-from mpslc.core import InputError, Metric, PointSet, Seed, SparsePoint
+from mpslc.core import CapacityError, InputError, Metric, PointSet, Seed, SparsePoint
 from mpslc.hardness import GraphInstance, gen_cycle_vectors
 
 from conftest import uniform_points
@@ -336,3 +336,34 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, capsys, case):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) in (2, 3)
     assert capsys.readouterr().err.startswith(("input error:", "capacity error:"))
+
+
+@pytest.mark.parametrize("case", ["run-out-no-dir", "run-curve-no-dir"])
+def test_cli_unwritable_output_fails_before_the_run(monkeypatch, tmp_path, capsys, case):
+    # the output paths are probed before the tree is built, so a bad one
+    # is reported at once, with the message the write would give
+    def build(*args):
+        raise AssertionError("the tree was built before the output paths were probed")
+
+    monkeypatch.setattr(cli, "_build_tree", build)
+    _head, *rest = BAD_INPUTS[case]
+    argv = ["run", "--input", _write_points(tmp_path, n=40)] + rest
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {tmp_path}/missing/out: ")
+
+
+def test_cli_output_probe_keeps_existing_files(monkeypatch, tmp_path):
+    # a run refused after the probe leaves an existing output as it was,
+    # and no output that was not there before
+    out, curve = tmp_path / "r.json", tmp_path / "c.csv"
+    out.write_text("kept\n")
+
+    def build(*args):
+        raise CapacityError("refused")
+
+    monkeypatch.setattr(cli, "_build_tree", build)
+    argv = ["run", "--input", _write_points(tmp_path, n=40), "--out", str(out),
+            "--curve", str(curve)]
+    assert main(argv) == 3
+    assert out.read_text() == "kept\n" and not curve.exists()

@@ -7,6 +7,7 @@ import pytest
 from mpslc.core import Metric, PointSet, spanning_forest
 from mpslc.mpc import EDGE, edge_array
 from mpslc.oracle import _row_dists, brute_closest_cross_pair, kruskal_edges, kruskal_points_mst
+from mpslc.partition import metric_profile
 from mpslc.slc import derive_eps
 from mpslc import unitstep
 from mpslc.unitstep import level_step
@@ -355,6 +356,33 @@ def test_level_step_duplicates_pair_only_distinct_points(monkeypatch, metric, le
     assert 0 < sum(w == 0.0 for *_, w in edges) < len(edges)
     if math.isinf(level_diam):
         assert len(np.unique(merged)) == 1
+        return
+    # the same cell with 20 distinct points added, beside a cell of 40
+    # copies of one site, lone once they are joined, a cell of 30 distinct
+    # points and 5 lone points, in shuffled order: at eps 1/2 and at eps 0,
+    # whose covering keeps every distinct point, still the oracle's edges
+    # from the distinct pairs, and no duplicate in the covering
+    blocks = [np.concatenate((pts, rng.random((20, 3)) * 2.0)), np.full((40, 3), 7.0),
+              rng.random((30, 3)) * 2.0 + 10.0] + [np.full((1, 3), 20.0 + k) for k in range(5)]
+    order = rng.permutation(sum(map(len, blocks)))
+    pts = np.concatenate(blocks)[order]
+    cells = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))[order]
+    ps = PointSet(points=pts, metric=metric)
+    ids = np.arange(len(pts), dtype=np.int64)
+    labels = group_labels(cells * 10 + rng.integers(0, 3, len(pts)))
+    keys = list(map(tuple, np.column_stack((cells, pts)).tolist()))
+    lowest = {}
+    for i, key in enumerate(keys):
+        lowest.setdefault(key, i)
+    for eps in (0.5, 0.0):
+        seen[0] = 0
+        cover, _merged, edges = level_step(ids, labels, cells, level_diam, eps, ps)
+        assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, eps * level_diam))
+        assert seen[0] <= (27 + 20) * (27 + 19) // 2 + 30 * 29 // 2
+        assert all(lowest[keys[i]] == i for i in cover.tolist())
+        assert np.isin(np.flatnonzero(cells == 1), cover).tolist() == [True] + [False] * 39
+        assert np.isin(np.flatnonzero(cells >= 3), cover).all()
+    assert cover.tolist() == sorted(lowest.values())
 
 
 @pytest.mark.parametrize("metric", FLOAT_METRICS)
@@ -666,8 +694,8 @@ def test_level_step_lone_points_skip_the_pass(monkeypatch, root):
     labels = ids.copy()
     cells = np.random.default_rng(32).permutation(len(ids))
     calls = []
-    monkeypatch.setattr(unitstep, "_merge", lambda *args: calls.append("merge"))
-    monkeypatch.setattr(unitstep, "_covering", lambda *args: calls.append("covering"))
+    for name in ("_duplicate_owner", "_merge_distinct", "_covering"):
+        monkeypatch.setattr(unitstep, name, lambda *args, name=name: calls.append(name))
     cover, cover_labels, edges = level_step(ids, labels, cells, math.inf if root else 0.5,
                                             0.5, ps)
     assert calls == []
@@ -693,8 +721,25 @@ def test_level_step_lone_points_beside_shared_cells(metric, eps):
     threshold = eps * level_diam
     assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, threshold))
     assert 0.0 in edges["w"].tolist()
-    whole = unitstep._covering(pts, cells, eps * eps * level_diam, metric)
-    _edges, merged = unitstep._merge(pts, labels, cells, threshold, metric)
+    # one pass over every cell: the lowest id per cell and key, and the
+    # input labels joined by the oracle's edges, each set to its lowest
+    radius = eps * eps * level_diam
+    keys = np.floor(pts / (radius / metric_profile(metric, 3)[0])) if radius else pts
+    first = {}
+    for i, key in enumerate(map(tuple, np.column_stack((cells, keys)).tolist())):
+        first.setdefault(key, i)
+    whole = np.sort(list(first.values()))
+    root = {int(lab): int(lab) for lab in labels}
+
+    def find(lab):
+        while root[lab] != lab:
+            lab = root[lab]
+        return lab
+
+    for u, v, _w in oracle_level_edges(ps, ids, labels, cells, threshold):
+        a, b = sorted((find(int(labels[u])), find(int(labels[v]))))
+        root[b] = a
+    merged = np.asarray([find(int(lab)) for lab in labels])
     assert cover.tolist() == whole.tolist()
     assert cover_labels.tolist() == merged[whole].tolist()
 
