@@ -6,6 +6,7 @@ branching use exact comparison on the computed values, never an epsilon.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -89,7 +90,8 @@ def spanning_forest(a, b, n: int):
     while True:
         la, lb = labels[a[live]], labels[b[live]]
         cross = la != lb
-        live, la, lb = live[cross], la[cross], lb[cross]
+        if not cross.all():
+            live, la, lb = live[cross], la[cross], lb[cross]
         if not len(live):
             break
         best = np.full(n, m, dtype=np.int64)
@@ -120,27 +122,45 @@ def row_runs(keys: np.ndarray):
     Columns are packed into words by mixed radix from their minima while
     the product of their ranges stays below 2^63; the sort stops at the
     first 1, 2, 4, ... words that tell all rows apart, as the full order
-    refines theirs."""
+    refines theirs. A first word whose range times the row count stays
+    below 2^63 takes the position as its last digit, so one plain sort of
+    distinct numbers gives its stable order."""
     n = len(keys)
     if n < 2:
         return np.arange(n), np.ones(n, dtype=bool)
-    lo = keys.min(axis=0)
+    # numpy reduces a few long columns one by one far faster than along axis 0
+    if keys.shape[1] < 16:
+        lo = np.array([col.min() for col in keys.T])
+        hi = np.array([col.max() for col in keys.T])
+    else:
+        lo, hi = keys.min(axis=0), keys.max(axis=0)
     # in uint64, as the bit patterns of floats can span more than 2^63
-    span = keys.max(axis=0).astype(np.uint64) - lo.astype(np.uint64)
+    span = hi.astype(np.uint64) - lo.astype(np.uint64)
     radix = [r + 1 for r in span.tolist()]
-    groups, size = [], 2**63
+    groups, sizes = [], []
     for j, r in enumerate(radix):
-        if size * r >= 2**63:
+        if not sizes or sizes[-1] * r >= 2**63:
             groups.append([])
-            size = 1
+            sizes.append(1)
         groups[-1].append(j)
-        size *= r
+        sizes[-1] *= r
     words, p = [], 1
     while True:
-        for g in groups[len(words):p]:
-            scale = np.cumprod([1] + [radix[j] for j in g[:0:-1]])[::-1]
-            words.append((keys[:, g] - lo[g]) @ scale if len(g) > 1 else keys[:, g[0]])
-        order = np.lexsort(words[::-1])
+        for g, size in zip(groups[len(words):p], sizes[len(words):p]):
+            if size >= 2**63:  # one column, whose offsets from its minimum overflow
+                words.append(keys[:, g[0]])
+                continue
+            word = keys[:, g[0]] - lo[g[0]]
+            for j in g[1:]:
+                word *= radix[j]
+                word += keys[:, j] - lo[j]
+            words.append(word)
+        if p == 1 and sizes[0] * n < 2**63:
+            order = words[0] * n + np.arange(n)
+            order.sort()
+            order %= n
+        else:
+            order = np.lexsort(words[::-1])
         ordered = np.stack(words)[:, order]
         starts = np.ones(n, dtype=bool)
         starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
@@ -174,6 +194,13 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @functools.cached_property
+    def may_repeat(self) -> bool:
+        """Whether two points share their first coordinate, as any two exact
+        duplicates do; computed once per point set."""
+        first = np.sort(self.points[:, 0])
+        return bool(np.any(first[1:] == first[:-1]))
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,22 @@ their union of tree edges is finished by exact Boruvka, and clusterings
 come from deleting the longest tree edges.
 
 Every repetition samples a fresh random shift and contributes one forest.
-Level by level it groups the surviving points by cell, accounts the
-level's round from the per-cell sizes (`run_level`) and runs one merge
-pass over all cells (`level_step`); the root cell runs unbounded so each
-forest spans. Edge weights are true metric distances between endpoints,
-which makes the per-index comparison against an exact tree sound.
+The repetitions are independent, so consecutive ones run the levels in
+lockstep, as many as fit `_PASS_VALUES` input coordinates, with ids and
+labels offset by repetition * n. Level by level the surviving points are
+grouped by repetition and cell, each repetition's round is accounted from
+its own cell sizes (`run_level`), and one merge pass runs over the cells
+of all of them (`level_step`); the root, a single cell per repetition,
+runs unbounded and alone so each forest spans. The merge is exact and no
+component spans two repetitions, so every forest, and every round, is
+the one a repetition run alone gives. Edge weights are true metric
+distances between endpoints, which makes the per-index comparison
+against an exact tree sound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -48,7 +55,7 @@ from .partition import (
     level_diameter,
     sample_partition,
 )
-from .unitstep import level_step
+from .unitstep import _PASS_VALUES, level_step
 
 
 def derive_eps(eta: float, levels: int, b: float, c1: float, c2: float) -> float:
@@ -118,51 +125,104 @@ class Clustering:
     objective: float
 
 
-def _one_repetition(ps: PointSet, params: SlcParams, rep: int, trace: MpcTrace) -> list:
-    """Run one partition sample through all levels; returns its forest
-    edges, one EDGE record array per level."""
+def _cells(rep: np.ndarray, coords: np.ndarray):
+    """Cells numbered 0 ... k-1 in (repetition, coordinates) order: the
+    cell of every row, and the first row of every cell."""
+    order, starts = row_runs(np.column_stack((rep, coords)))
+    cells = np.empty(len(order), dtype=np.int64)
+    cells[order] = np.cumsum(starts) - 1
+    return cells, order[starts]
+
+
+def _lockstep(ps: PointSet, params: SlcParams, reps: range, trace: MpcTrace) -> np.ndarray:
+    """Run the repetitions `reps` through all levels in lockstep and append
+    their rounds to `trace`, one repetition after another; returns their
+    forest edges on input ids as EDGE records.
+
+    The j-th repetition's ids and labels are offset by j * n. A bounded
+    level groups the points by repetition and cell, accounts each
+    repetition's round from its own cell sizes (`run_level`) and runs one
+    merge pass over every cell (`level_step`); the root, the largest
+    working set, runs one pass per repetition. A repetition that
+    `run_level` refuses stops there, and so do the later ones, while the
+    earlier ones go on: the refusal raised is that of the lowest
+    repetition refused, at its first refused level, as if they ran one
+    after another.
+    """
     n, d = ps.n, ps.dim
-    seed = derive_seed(params.seed, f"repetition-{rep}")
-    part = sample_partition(ps, params.partition, seed)
-    setup_words = n * (d + 2)
-    trace.append(RoundStats(*spread(setup_words, params.mpc), setup_words, setup_words,
-                            "partition"))
-    base = base_cell_coords(part, ps.points)
-    reps = np.arange(n, dtype=np.int64)
-    labels = np.arange(n, dtype=np.int64)
-    forest = []
     levels = params.partition.levels
+    rounds = []
+    base = np.empty((len(reps) * n, d), dtype=np.int64)
+    for j in range(len(reps)):
+        part = sample_partition(ps, params.partition,
+                                derive_seed(params.seed, f"repetition-{reps[j]}"))
+        setup_words = n * (d + 2)
+        rounds.append([RoundStats(*spread(setup_words, params.mpc), setup_words,
+                                  setup_words, "partition")])
+        base[j * n:(j + 1) * n] = base_cell_coords(part, ps.points)
+    ids = np.arange(len(reps) * n, dtype=np.int64)
+    labels = ids.copy()
+    forest, refusal = [], None
     for level in range(levels + 1):
-        if level == levels:
-            level_diam = math.inf
+        rep = ids // n
+        if level < levels:
+            # the repetitions' grids differ in their shift alone, which
+            # `base` holds; while every point survives, base is the rows
+            rows = base if len(ids) == len(base) else base[ids]
+            cells, heads = _cells(rep, coords_at_level(part, rows, level))
         else:
-            level_diam = level_diameter(params.partition, level)
-        coords = coords_at_level(part, base[reps], level)
-        order, starts = row_runs(coords)
-        cell_coords = coords[order[starts]]
-        cells = np.empty(len(order), dtype=np.int64)
-        cells[order] = np.cumsum(starts) - 1
+            # the root, the last level, is one cell per repetition
+            del base, rows
+            cells, heads = rep, np.searchsorted(ids, np.arange(rep[-1] + 1) * n)
         sizes = np.bincount(cells) * (d + 2)
-        try:
-            stats = run_level(sizes, params.mpc)
-        except CapacityError as exc:
-            where = "root" if level == levels else f"level {level}"
-            # run_level refuses the first job above s/3 words, the only refusal
-            over = np.flatnonzero(sizes > params.mpc.space_s // 3)[0]
-            raise CapacityError(f"repetition {rep}, {where}, cell "
-                                f"{tuple(cell_coords[over].tolist())}: {exc}") from exc
-        trace.append(stats)
-        reps, labels, edges = level_step(reps, labels, cells, level_diam,
-                                         params.eps, ps)
-        forest.append(edges)
-    if len(np.unique(labels)) != 1:
+        first = np.searchsorted(rep[heads], np.arange(rep[-1] + 2))
+        for j in range(len(first) - 1):
+            jobs = sizes[first[j]:first[j + 1]]
+            try:
+                rounds[j].append(run_level(jobs, params.mpc))
+            except CapacityError as exc:
+                where = "root" if level == levels else f"level {level}"
+                # run_level refuses the first job above s/3 words, the only refusal
+                over = first[j] + np.flatnonzero(jobs > params.mpc.space_s // 3)[0]
+                cell = ((0,) * d if level == levels
+                        else tuple(coords_at_level(part, rows[heads[over]], level).tolist()))
+                refusal = (f"repetition {reps[j]}, {where}, cell {cell}: {exc}", exc)
+                end = np.searchsorted(ids, j * n)
+                ids, labels, cells = ids[:end], labels[:end], cells[:end]
+                break
+        if not len(ids):
+            break
+        if level < levels:
+            steps = [level_step(ids, labels, cells, level_diameter(params.partition, level),
+                                params.eps, ps)]
+        else:
+            bounds = np.searchsorted(ids, np.arange(ids[-1] // n + 2) * n)
+            steps = [level_step(ids[a:b], labels[a:b], np.zeros(b - a, dtype=np.int64),
+                                math.inf, params.eps, ps)
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+        ids = np.concatenate([step[0] for step in steps])
+        labels = np.concatenate([step[1] for step in steps])
+        forest += [step[2] for step in steps]
+    if refusal is not None:
+        message, exc = refusal
+        raise CapacityError(message) from exc
+    if len(np.unique(labels)) != len(reps):
         raise MpcContractError("repetition finished with a disconnected forest")
-    return forest
+    for stats in itertools.chain.from_iterable(rounds):
+        trace.append(stats)
+    edges = np.concatenate(forest)
+    if np.bincount(edges["u"] // n, minlength=len(reps)).max() > n - 1:
+        raise MpcContractError("a repetition emitted more than a forest")
+    edges["u"] %= n
+    edges["v"] %= n
+    return edges
 
 
 def approximate_mst(ps: PointSet, params: SlcParams):
     """Collected forests from every repetition, finished by exact Boruvka.
 
+    Consecutive repetitions of at most `_PASS_VALUES` input coordinates in
+    all run in lockstep (see `_lockstep`); a repetition of more runs alone.
     The result spans all points; its trace concatenates the per-level
     rounds of every repetition and the final Boruvka rounds.
     """
@@ -172,12 +232,11 @@ def approximate_mst(ps: PointSet, params: SlcParams):
         )
     trace = MpcTrace()
     n = ps.n
+    group = max(1, _PASS_VALUES // (n * ps.dim))
     forests = []
-    for rep in range(params.repetitions):
-        forest = _one_repetition(ps, params, rep, trace)
-        if sum(map(len, forest)) > n - 1:
-            raise MpcContractError("a repetition emitted more than a forest")
-        forests += forest
+    for first in range(0, params.repetitions, group):
+        forests.append(_lockstep(ps, params,
+                                 range(first, min(first + group, params.repetitions)), trace))
     graph = WeightedEdgeList.build(n, np.concatenate(forests))
     if len(graph.edges) > params.repetitions * (n - 1):
         raise MpcContractError("sparsifier exceeded repetitions * (n - 1) edges")

@@ -15,7 +15,8 @@ A point alone in its cell can neither merge nor leave the covering, so
 the pass runs on the cells of two points or more and the lone points
 rejoin its output. Exact duplicates join the lowest position in their
 cell with the same coordinates at weight 0, and the merge and the
-covering run over the distinct points.
+covering run over the distinct points. An id names the point id mod n,
+so one pass can serve the cells of several repetitions of the pipeline.
 
 An exact distance is measured only for a pair that no certified lower
 bound rules out, as dual-tree Boruvka (March, Ram & Gray, KDD 2010) and
@@ -61,6 +62,9 @@ GRID_MAX_DIM = 6
 # `pair_distances` gathers coordinates in chunks, so a block of pairs
 # holds their indices
 _BLOCK_VALUES = 1 << 20
+# input coordinates, points x d, of the consecutive repetitions that
+# share one bounded level pass in `slc`; a repetition of more runs alone
+_PASS_VALUES = 1 << 15
 # buckets per point at the level's point spacing
 _BUCKETS_PER_POINT = 2
 # pairs per live component that one Filter-Kruskal pass sorts
@@ -237,10 +241,17 @@ class _Grid:
         while lo < len(rows):
             base = int(cum[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(cum, base + max_pairs, side="right")))
-            w = width[lo:hi]
-            g = np.repeat(np.arange(hi - lo), w)
-            yield self.members[rows[lo:hi][g]], self.members[first[lo:hi][g] + _ranks(w)]
+            # made in a call, so this frame holds no part of the block it yields
+            yield self._block(rows[lo:hi], first[lo:hi], width[lo:hi])
             lo = hi
+
+    def _block(self, rows, first, width):
+        """The members at `rows` paired with the `width` members from `first` on."""
+        at = np.repeat(np.arange(len(rows)), width)
+        u = self.members[rows[at]]
+        at = first[at]
+        at += _ranks(width)
+        return u, self.members[at]
 
 
 class _Gram:
@@ -337,8 +348,9 @@ class _Gram:
         return self.upto, [got[1:]]
 
 
-def _kruskal(pairs, labels):
-    """Kruskal over candidate pairs, EDGE records (lo, hi, w), in (w, lo,
+def _kruskal(pairs, labels, among=None):
+    """Kruskal over candidate pairs, the EDGE records (lo, hi, w) of
+    `pairs` at the indices `among` (all of them by default), in (w, lo,
     hi) order on the components of `labels`. Returns the taken pairs in
     that order and the merged labels (each the lowest label of its merged
     set).
@@ -351,10 +363,10 @@ def _kruskal(pairs, labels):
     any do.
     """
     comps, inv = np.unique(labels, return_inverse=True)
-    u, v, w = inv[pairs["u"]], inv[pairs["v"]], pairs["w"]
+    u, v, w = pairs["u"], pairs["v"], pairs["w"]
     roots = np.arange(len(comps))
     taken = [np.empty(0, dtype=np.int64)]
-    rest = np.arange(len(pairs))
+    rest = np.arange(len(pairs)) if among is None else among
     while len(rest):
         cut = _FILTER_PER_COMPONENT * (len(comps) - sum(map(len, taken)))
         if len(rest) > 2 * cut:
@@ -363,11 +375,12 @@ def _kruskal(pairs, labels):
             part, rest = rest[light], rest[~light]
         else:
             part, rest = rest, rest[:0]
-        part = part[np.lexsort((pairs["v"][part], pairs["u"][part], w[part]))]
-        got, joined, _phases = spanning_forest(roots[u[part]], roots[v[part]], len(comps))
+        part = part[np.lexsort((v[part], u[part], w[part]))]
+        got, joined, _phases = spanning_forest(roots[inv[u[part]]], roots[inv[v[part]]],
+                                               len(comps))
         taken.append(part[got])
         roots = joined[roots]
-        rest = rest[roots[u[rest]] != roots[v[rest]]]
+        rest = rest[roots[inv[u[rest]]] != roots[inv[v[rest]]]]
     return pairs[np.concatenate(taken)], comps[roots[inv]]
 
 
@@ -387,13 +400,17 @@ def _candidates(pts, labels, blocks, threshold, metric, pool):
     size = len(pool)
     for u, v in blocks:
         cross = labels[u] != labels[v]
-        lo = np.minimum(u[cross], v[cross])
-        hi = np.maximum(u[cross], v[cross])
+        if not cross.all():
+            u, v = u[cross], v[cross]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        del u, v, cross
         w = pair_distances(pts, lo, hi, metric)
         near = w <= threshold
-        kept.append(edge_array(lo[near], hi[near], w[near]))
+        if not near.all():
+            lo, hi, w = lo[near], hi[near], w[near]
+        kept.append(edge_array(lo, hi, w))
         # freed before the next block of pairs or of probes is made
-        del u, v, cross, lo, hi, w, near
+        del lo, hi, w, near
         size += len(kept[-1])
         if size > _MAX_KEPT:
             # the blocks are freed before Kruskal runs on their concatenation
@@ -436,7 +453,7 @@ def _merge_distinct(pts, labels, cells, threshold, metric):
         pairs = _candidates(pts, labels, blocks, threshold, metric, pool)
         now = pairs["w"] <= np.where(source.whole[cells[pairs["u"]]], threshold, bound)
         if now.any():
-            taken, labels = _kruskal(pairs[now], labels)
+            taken, labels = _kruskal(pairs, labels, np.flatnonzero(now))
             edges.append(taken)
         if bound >= threshold:
             break
@@ -449,10 +466,7 @@ def _merge_distinct(pts, labels, cells, threshold, metric):
 
 def _duplicate_owner(pts, cells):
     """For every position, the lowest position in its cell with equal
-    coordinates, or itself when no two positions can share coordinates."""
-    first = np.sort(pts[:, 0])
-    if not np.any(first[1:] == first[:-1]):
-        return np.arange(len(pts))
+    coordinates."""
     # + 0.0 turns -0.0 into 0.0, so equal coordinates have equal bits
     order, starts = row_runs(np.column_stack((cells, (pts + 0.0).view(np.int64))))
     owner = np.empty_like(order)
@@ -469,10 +483,15 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     `rep_ids` are the level's surviving points in ascending order,
     `labels` their component labels and `cells` the index of each one's
     cell, numbered 0 ... k-1 with every number in use, as `slc` numbers
-    them; no component may span two cells. An infinite level_diam removes
-    the threshold, so merging runs until one component remains; that is
-    the root, a single cell. eps = 0 degenerates to exact closest-pair
-    merging and an exact-duplicate covering.
+    them; no component may span two cells. An id names the point id mod
+    ps.n, so one pass serves several repetitions: `slc` offsets the ids
+    and labels of repetition j by j * ps.n, which keeps them ascending,
+    and gives each repetition its own cells. The pass is exact and no
+    component spans two repetitions, so each gets the edges, covering and
+    labels, offset alike, of a pass of its own. An infinite level_diam
+    removes the threshold, so merging runs until one component remains;
+    that is the root, a single cell. eps = 0 degenerates to exact
+    closest-pair merging and an exact-duplicate covering.
 
     The pass runs on the cells of two points or more, numbered densely in
     order with positions ascending, so every tie rule holds; the lone
@@ -482,7 +501,8 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     first joins each to the lowest position in its cell with its
     coordinates; no pair of a duplicate then comes before the same pair of
     that position, and a level with duplicates narrows to the distinct
-    points for the merge and the covering.
+    points for the merge and the covering. They are looked for only when
+    two input points share a first coordinate.
 
     Returns (covering ids in ascending order, their labels, tree edges as
     EDGE records on global ids with u < v, in (w, u, v) order).
@@ -499,9 +519,11 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     if not len(keep):
         return rep_ids, labels, np.empty(0, dtype=EDGE)
     sub = (np.cumsum(shared) - 1)[cells[keep]]
-    pts = ps.points[rep_ids[keep]]
+    pts = ps.points[rep_ids[keep] % ps.n]
     labels = labels.copy()
-    owner = _duplicate_owner(pts, sub)
+    # the input, not the pass, tells whether duplicates may occur, as a
+    # pass of several repetitions holds a point once per repetition
+    owner = _duplicate_owner(pts, sub) if ps.may_repeat else np.arange(len(keep))
     distinct = owner == np.arange(len(keep))
     joined = np.empty(0, dtype=EDGE)
     if not distinct.all():

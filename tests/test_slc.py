@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mpslc import slc
 from mpslc.core import (
     CapacityError,
     InputError,
@@ -11,9 +12,12 @@ from mpslc.core import (
     PointSet,
     Seed,
     UnsupportedMetricError,
+    derive_seed,
 )
 from mpslc.mpc import MpcConfig, SpanningTree, round_bound
 from mpslc.oracle import exact_mst, exhaustive_slc
+from mpslc.partition import base_cell_coords, coords_at_level, sample_partition
+from mpslc.unitstep import level_step
 from mpslc.slc import (
     SlcParams,
     approximate_mst,
@@ -269,3 +273,76 @@ def test_capacity_error_names_repetition_level_and_cell():
     message = str(caught.value)
     assert message.startswith("repetition 0, root, cell (0, 0, 0): ")
     assert "needs 3000 words of working space, budget allows 606" in message
+
+
+def _largest_cells(ps, params, rep):
+    """Points in the largest cell of repetition `rep` at every level."""
+    part = sample_partition(ps, params.partition, derive_seed(params.seed, f"repetition-{rep}"))
+    base = base_cell_coords(part, ps.points)
+    return [int(np.unique(coords_at_level(part, base, level), axis=0,
+                          return_counts=True)[1].max())
+            for level in range(params.partition.levels + 1)]
+
+
+def test_capacity_error_names_lowest_refused_repetition():
+    # s/3 = 266 words, 66 points of 4 words: repetition 1 has a level-8
+    # cell of 72 points and repetition 0 none above 63, so in lockstep
+    # repetition 1 is refused first; the error is still repetition 0's
+    # refusal at the root, the one a run of one repetition after another
+    # meets first
+    ps = PointSet(points=np.random.default_rng(2).uniform(0.0, 1.0, (300, 2)),
+                  metric=Metric.L2)
+    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(2), repetitions=3,
+                                     mpc=MpcConfig(space_s=800))
+    largest = [_largest_cells(ps, params, rep) for rep in range(3)]
+    assert max(largest[0][:-1]) * 4 <= 266 < largest[1][-2] * 4
+    with pytest.raises(CapacityError) as caught:
+        approximate_mst(ps, params)
+    assert str(caught.value) == ("repetition 0, root, cell (0, 0): job 0 needs 1200 words "
+                                 "of working space, budget allows 266")
+    assert isinstance(caught.value.__cause__, CapacityError)
+
+
+def _lockstep_cases():
+    """(points, metric, c1 = c2, word budget s or None for the default)."""
+    rng = np.random.default_rng(40)
+    blobs = rng.uniform(0.0, 1.0, (5, 3))[rng.integers(0, 5, 500)]
+    return {
+        "uniform-l1-practical": (rng.uniform(0.0, 1.0, (500, 3)), Metric.L1, 0.0015, 3300),
+        "uniform-l2-theorem": (rng.uniform(0.0, 1.0, (500, 3)), Metric.L2, 1.0, None),
+        "blobs-linf-practical": (blobs + rng.normal(0.0, 0.01, (500, 3)), Metric.LINF, 0.004,
+                                 3300),
+        "lattice-l2-practical": (rng.integers(0, 6, (500, 3)).astype(float), Metric.L2, 0.004,
+                                 3300),
+    }
+
+
+@pytest.mark.parametrize("name", list(_lockstep_cases()))
+def test_lockstep_equals_one_repetition_at_a_time(monkeypatch, name):
+    # repetitions that share their bounded level passes give the tree and
+    # every trace round of repetitions run one after another; at practical
+    # constants the levels merge, the coverings shrink and s = 3300 packs
+    # them onto several machines
+    points, metric, c, space_s = _lockstep_cases()[name]
+    ps = PointSet(points=points, metric=metric)
+    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(41), repetitions=5, c1=c, c2=c,
+                                     mpc=space_s and MpcConfig(space_s=space_s))
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return level_step(*args)
+
+    monkeypatch.setattr(slc, "level_step", counted)
+    tree, trace = approximate_mst(ps, params)
+    shared = len(calls)
+    monkeypatch.setattr(slc, "_PASS_VALUES", 1)
+    alone_tree, alone_trace = approximate_mst(ps, params)
+    # one pass per bounded level and one root per repetition, against
+    # levels + 1 passes per repetition
+    assert shared == params.partition.levels + 5
+    assert len(calls) - shared == 5 * (params.partition.levels + 1)
+    assert tree.edges == alone_tree.edges
+    assert trace.to_json_lines() == alone_trace.to_json_lines()
+    if space_s:
+        assert max(r.machines_used for r in trace.per_round if r.kind == "level") > 1

@@ -278,6 +278,41 @@ def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam, d
     assert len(edges), "the case should merge something"
 
 
+@pytest.mark.parametrize("metric", FLOAT_METRICS)
+@pytest.mark.parametrize("eps", (0.0, 0.3))
+def test_level_step_offset_repetitions_equal_separate_calls(metric, eps):
+    # two repetitions of one tie-heavy cloud, with exact duplicates inside
+    # each, in one pass: ids and labels of repetition 1 offset by n, each
+    # with its own subset and its own shifted cells. Each gets the edges,
+    # covering and labels of its own call: no duplicate joins its copy in
+    # the other repetition
+    rng = np.random.default_rng(29)
+    n = 400
+    ps = PointSet(points=rng.integers(0, 5, (n, 3)).astype(float) / 4.0, metric=metric)
+    assert ps.may_repeat
+    alone, shared = [], []
+    for rep, shift in enumerate((0.0, 0.3)):
+        ids = np.sort(rng.choice(n, size=300, replace=False))
+        _, cells = np.unique(np.floor(ps.points[ids] * 2.0 + shift), axis=0,
+                             return_inverse=True)
+        group = rng.integers(0, 30, len(ids))
+        labels = ids[group_labels(cells * 30 + group)]
+        alone.append(level_step(ids, labels, cells, 2.5, eps, ps))
+        offset = rep * n, (shared[-1][2].max() + 1 if shared else 0)
+        shared.append((ids + offset[0], labels + offset[0], cells + offset[1]))
+    ids, labels, cells = (np.concatenate(parts) for parts in zip(*shared))
+    cover, cover_labels, edges = level_step(ids, labels, cells, 2.5, eps, ps)
+    assert cover.tolist() == alone[0][0].tolist() + (alone[1][0] + n).tolist()
+    assert cover_labels.tolist() == alone[0][1].tolist() + (alone[1][1] + n).tolist()
+    second = edges["u"] >= n
+    assert edges[~second].tolist() == alone[0][2].tolist()
+    edges["u"] -= n * second
+    edges["v"] -= n * second
+    assert edges[second].tolist() == alone[1][2].tolist()
+    for _cover, _labels, own in alone:
+        assert np.any(own["w"] == 0.0), "each repetition should join duplicates"
+
+
 def oracle_level_edges(ps, rep_ids, labels, cells, threshold):
     """Per cell, Kruskal over the cross-component pairs within the
     threshold; chains of weight -1 join each component first."""
@@ -460,6 +495,12 @@ def test_filter_kruskal_equals_one_sort(name):
     assert got.tolist() == want.tolist()
     assert merged.tolist() == want_merged.tolist()
     assert len(got) == comps - len(np.unique(merged))
+    # the pairs at some indices alone, as a level pass takes those within a bound
+    among = np.flatnonzero(np.random.default_rng(30).random(len(pairs)) < 0.7)
+    got, merged = unitstep._kruskal(pairs, labels, among)
+    want, want_merged = _plain_kruskal(pairs[among], labels)
+    assert got.tolist() == want.tolist()
+    assert merged.tolist() == want_merged.tolist()
 
 
 def test_level_step_small_cells_beside_dense_cell_match_oracle(monkeypatch):
