@@ -243,7 +243,7 @@ def _cmd_verify(args) -> int:
                                args.space_s)
     exact = oracle.exact_mst(ps)
     report = verify_per_edge_guarantee(tree, exact, args.eta)
-    print(f"indices={len(report.pairs)} violations={len(report.violations)} "
+    print(f"indices={len(tree.edges)} violations={len(report.violations)} "
           f"max_ratio={report.max_ratio:.6f}")
     return 0 if report.ok else 1
 

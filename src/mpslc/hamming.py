@@ -23,7 +23,6 @@ from .mpc import (
     connected_components,
     distributed_sort,
     edge_array,
-    merge_parallel,
 )
 
 MAX_DIM = 20
@@ -76,18 +75,15 @@ def build_auxiliary_graph(ps: PointSet, cfg: MpcConfig):
     where the raw links would take 24 bytes each.
 
     Returns the links as a WeightedEdgeList (the lightest weight per pair)
-    and the merged trace of the sorts.
+    and the trace of the sorts, one phase with a key of popcount(mask)
+    words per mask.
     """
     ranks, sizes = _validated_int_points(ps)
     n, d = ranks.shape
     popcount = np.zeros(1 << d, dtype=np.int64)
     for j in range(d):
         popcount[1 << j:2 << j] = popcount[:1 << j] + 1
-    # a sort's accounting depends on its key length alone, and key lengths
-    # first appear in mask order 0, 1, 3, 7, ..., so the first refused
-    # sort is the one the masks meet first
-    by_keys = [distributed_sort(n, k, cfg) for k in range(d + 1)]
-    trace = merge_parallel([by_keys[k] for k in popcount.tolist()])
+    trace = distributed_sort(n, popcount, cfg)
 
     ids = np.zeros((1 << d, n), dtype=np.int32)
     pos = np.arange(n - 1, dtype=np.int64)

@@ -111,23 +111,6 @@ class MpcTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def merge_parallel(traces: list) -> MpcTrace:
-    """Overlay traces that run concurrently: rounds align, machines add up."""
-    out = MpcTrace()
-    rows = [(t.per_round, t.rounds) for t in traces]
-    depth = max((count for _, count in rows), default=0)
-    for i in range(depth):
-        live = [per_round[i] for per_round, count in rows if i < count]
-        out.append(RoundStats(
-            machines_used=sum(r.machines_used for r in live),
-            max_words_on_any_machine=max(r.max_words_on_any_machine for r in live),
-            total_messages_words=sum(r.total_messages_words for r in live),
-            input_words=sum(r.input_words for r in live),
-            kind=live[0].kind,
-        ))
-    return out
-
-
 def round_bound(n_vertices: int) -> int:
     """Contractual round ceiling for Boruvka and connectivity runs."""
     return 2 * math.ceil(math.log2(max(1, n_vertices))) + 2
@@ -307,27 +290,29 @@ def connected_components(g: WeightedEdgeList, cfg: MpcConfig):
     return labels, trace
 
 
-def distributed_sort(n_items: int, key_words: int, cfg: MpcConfig) -> MpcTrace:
-    """Account a stable sort of n_items (key of key_words words, id) items in
-    exactly 4 rounds (sample, split, exchange, gather); the caller sorts.
-    The split round holds a chunk and 2 words per other machine on every
-    machine; a budget too small for that is refused as a CapacityError."""
+def distributed_sort(n_items: int, key_words, cfg: MpcConfig) -> MpcTrace:
+    """Account concurrent stable sorts of n_items (key, id) items, one per
+    entry of `key_words` (a scalar is one sort), in one phase of exactly 4
+    rounds (sample, split, exchange, gather); the caller sorts. Machines,
+    messages and input words add up over the sorts, and a round's peak is
+    the largest of theirs. The split round holds a chunk and 2 words per
+    other machine on every machine; the first sort, in the given order,
+    that the budget cannot hold is refused as a CapacityError."""
     s = cfg.space_s
-    total = n_items * (key_words + 1)
-    m_machines, _peak = spread(total, cfg)
-    chunk = math.ceil(total / m_machines)
-    splitter_words = max(0, m_machines - 1) * 2
-    rounds = [
-        RoundStats(m_machines, chunk, total, total, "sort"),
-        RoundStats(m_machines, chunk + splitter_words, m_machines * splitter_words,
-                   splitter_words, "sort"),
-        RoundStats(m_machines, 2 * chunk, total, total, "sort"),
-        RoundStats(m_machines, chunk, total, total, "sort"),
-    ]
-    trace = MpcTrace(per_round=rounds)
-    if trace.rounds > 4:
-        raise MpcContractError("sort exceeded 4 rounds")
-    if trace.max_words() > s:
-        raise CapacityError(f"sort of {n_items} items needs {trace.max_words()} words "
+    total = n_items * (np.atleast_1d(key_words).astype(np.int64) + 1)
+    machines = np.maximum(1, -(-total // (s // 3)))
+    chunk = -(-total // machines)
+    splitter_words = 2 * (machines - 1)
+    peak = chunk + np.maximum(chunk, splitter_words)
+    over = np.flatnonzero(peak > s)
+    if len(over):
+        raise CapacityError(f"sort of {n_items} items needs {int(peak[over[0]])} words "
                             f"on one machine, budget allows {s}")
-    return trace
+    m, words, top = int(machines.sum()), int(total.sum()), int(chunk.max())
+    return MpcTrace(per_round=[
+        RoundStats(m, top, words, words, "sort"),
+        RoundStats(m, int((chunk + splitter_words).max()),
+                   int((machines * splitter_words).sum()), int(splitter_words.sum()), "sort"),
+        RoundStats(m, 2 * top, words, words, "sort"),
+        RoundStats(m, top, words, words, "sort"),
+    ])

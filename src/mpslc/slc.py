@@ -9,7 +9,8 @@ labels offset by repetition * n. Level by level the surviving points are
 grouped by repetition and cell, each repetition's round is accounted from
 its own cell sizes (`run_level`), and one merge pass runs over the cells
 of all of them (`level_step`); the root, a single cell per repetition,
-runs unbounded and alone so each forest spans. The merge is exact and no
+runs unbounded, so each forest spans, in a pass of its own, which keeps
+the largest working set one repetition's. The merge is exact and no
 component spans two repetitions, so every forest, and every round, is
 the one a repetition run alone gives. Edge weights are true metric
 distances between endpoints, which makes the per-index comparison
@@ -55,7 +56,11 @@ from .partition import (
     level_diameter,
     sample_partition,
 )
-from .unitstep import _PASS_VALUES, level_step
+from .unitstep import level_step
+
+# input coordinates, points x d, of the consecutive repetitions that
+# share one bounded level pass; a repetition of more runs alone
+_PASS_VALUES = 1 << 15
 
 
 def derive_eps(eta: float, levels: int, b: float, c1: float, c2: float) -> float:
@@ -142,8 +147,14 @@ def _lockstep(ps: PointSet, params: SlcParams, reps: range, trace: MpcTrace) -> 
     The j-th repetition's ids and labels are offset by j * n. A bounded
     level groups the points by repetition and cell, accounts each
     repetition's round from its own cell sizes (`run_level`) and runs one
-    merge pass over every cell (`level_step`); the root, the largest
-    working set, runs one pass per repetition. A repetition that
+    merge pass over every cell (`level_step`). The root runs one pass per
+    repetition, although `level_step` would take them all: sharing the
+    roots cut the practical-constant `grid` operation (n = 1200, 13
+    repetitions) from about 121 to 107 ms, but it raised the `grid`
+    bench's peak RSS from 49.8-50.3 to 53.0 MB and the theorem-constant
+    operation's tracemalloc peak from 4.4 to 7.6 MB, as the root's
+    working set grows with the pass (5.9 MB even with probe blocks of
+    2^16). A repetition that
     `run_level` refuses stops there, and so do the later ones, while the
     earlier ones go on: the refusal raised is that of the lowest
     repetition refused, at its first refused level, as if they ran one
@@ -271,7 +282,6 @@ def k_slc_from_mst(tree: SpanningTree, k: int, ps: PointSet) -> Clustering:
 class EdgeReport:
     """Per-sorted-index comparison of an approximate tree against an exact one."""
 
-    pairs: list
     violations: list
     max_ratio: float
 
@@ -291,6 +301,5 @@ def verify_per_edge_guarantee(approx: SpanningTree, exact: SpanningTree,
     ok = (we <= wa * (1 + slack) + 1e-300) & (wa <= (1 + eta) * we * (1 + slack))
     # approx / exact, and where exact is 0: infinite if approx > 0, else 1
     ratio = np.divide(wa, we, out=np.where(wa > 0, math.inf, 1.0), where=we > 0)
-    return EdgeReport(pairs=list(zip(we.tolist(), wa.tolist())),
-                      violations=np.flatnonzero(~ok).tolist(),
+    return EdgeReport(violations=np.flatnonzero(~ok).tolist(),
                       max_ratio=float(ratio.max(initial=1.0)))

@@ -47,7 +47,6 @@ import math
 import numpy as np
 
 from .core import (
-    InputError,
     Metric,
     PointSet,
     pair_distances,
@@ -62,9 +61,6 @@ GRID_MAX_DIM = 6
 # `pair_distances` gathers coordinates in chunks, so a block of pairs
 # holds their indices
 _BLOCK_VALUES = 1 << 20
-# input coordinates, points x d, of the consecutive repetitions that
-# share one bounded level pass in `slc`; a repetition of more runs alone
-_PASS_VALUES = 1 << 15
 # buckets per point at the level's point spacing
 _BUCKETS_PER_POINT = 2
 # pairs per live component that one Filter-Kruskal pass sorts
@@ -489,8 +485,8 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     and gives each repetition its own cells. The pass is exact and no
     component spans two repetitions, so each gets the edges, covering and
     labels, offset alike, of a pass of its own. An infinite level_diam
-    removes the threshold, so merging runs until one component remains;
-    that is the root, a single cell. eps = 0 degenerates to exact
+    removes the threshold, so merging runs until every cell is one
+    component; that is the root. eps = 0 degenerates to exact
     closest-pair merging and an exact-duplicate covering.
 
     The pass runs on the cells of two points or more, numbered densely in
@@ -508,8 +504,6 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     EDGE records on global ids with u < v, in (w, u, v) order).
     """
     if math.isinf(level_diam):
-        if cells.max() > 0:
-            raise InputError("an unbounded level runs one cell, the root")
         threshold = radius = math.inf
     else:
         threshold = eps * level_diam

@@ -2,6 +2,7 @@ import numpy as np
 
 from mpslc.core import InputError, Metric, PointSet, SparsePoint
 from mpslc.hardness import GraphInstance, GraphKind
+from mpslc.mpc import RoundStats, distributed_sort
 
 FLOAT_METRICS = (Metric.L1, Metric.L2, Metric.LINF)
 
@@ -58,3 +59,15 @@ def graph_from_edges(n: int, edges) -> GraphInstance:
 def total_weight(tree) -> float:
     """Sum of a spanning tree's edge weights, taken in its (w, u, v) order."""
     return float(sum(w for _, _, w in tree.edges))
+
+
+def overlay_sorts(n_items, key_words, cfg) -> list:
+    """The rounds of one scalar `distributed_sort` per key length, run
+    side by side: per round, machines, messages and input words add up
+    and the peak is the largest."""
+    traces = [distributed_sort(n_items, k, cfg).per_round for k in key_words]
+    return [RoundStats(machines_used=sum(r.machines_used for r in rows),
+                       max_words_on_any_machine=max(r.max_words_on_any_machine for r in rows),
+                       total_messages_words=sum(r.total_messages_words for r in rows),
+                       input_words=sum(r.input_words for r in rows), kind="sort")
+            for rows in zip(*traces)]

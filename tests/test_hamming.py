@@ -5,11 +5,11 @@ from mpslc import hamming
 from mpslc.core import CapacityError, InputError, Metric, PointSet
 from mpslc.hamming import build_auxiliary_graph, hamming_mst
 from mpslc.hardness import GraphInstance, gen_hamming_points
-from mpslc.mpc import MpcConfig, distributed_sort, merge_parallel
+from mpslc.mpc import MpcConfig
 from mpslc.oracle import exact_mst, kruskal_edges
 from mpslc.slc import k_slc_from_mst
 
-from conftest import integer_points, total_weight
+from conftest import integer_points, overlay_sorts, total_weight
 
 CFG = MpcConfig(space_s=16384)
 
@@ -195,9 +195,8 @@ def test_auxiliary_trace_is_one_sort_per_mask(d):
     ps = int_ps(np.random.default_rng(72 + d).integers(0, 3, (40, d)))
     cfg = MpcConfig(space_s=600)
     _aux, trace = build_auxiliary_graph(ps, cfg)
-    want = merge_parallel([distributed_sort(ps.n, bin(mask).count("1"), cfg)
-                           for mask in range(1 << d)])
-    assert trace.per_round == want.per_round
+    want = overlay_sorts(ps.n, [bin(mask).count("1") for mask in range(1 << d)], cfg)
+    assert trace.per_round == want
 
 
 def test_auxiliary_small_budget_refuses_first_sort():

@@ -6,18 +6,18 @@ import pytest
 from mpslc.core import CapacityError, InputError
 from mpslc.mpc import (
     MpcConfig,
-    MpcTrace,
     SpanningTree,
     WeightedEdgeList,
     boruvka_mst,
     connected_components,
     distributed_sort,
-    merge_parallel,
     round_bound,
     run_level,
     spread,
 )
 from mpslc.oracle import kruskal_edges
+
+from conftest import overlay_sorts
 
 
 def test_run_level_one_small_job():
@@ -286,6 +286,24 @@ def test_sort_split_round_over_budget_raises_capacity_error():
         distributed_sort(30, 1, MpcConfig(space_s=20))
 
 
+def test_concurrent_sorts_are_one_phase():
+    # mixed key lengths in one call: the overlay of one sort per length,
+    # spread over several machines each, with plain Python ints
+    cfg = MpcConfig(space_s=60)
+    keys = [0, 3, 1, 2, 1]
+    trace = distributed_sort(40, keys, cfg)
+    assert trace.per_round == overlay_sorts(40, keys, cfg)
+    assert trace.per_round[0].machines_used > len(keys)
+    assert all(type(v) is int for r in trace.per_round for v in vars(r).values()
+               if not isinstance(v, str))
+    # at n = 30 and s = 26 the key-2 sort needs 30 words and the key-3
+    # sort 36; the key-3 sort comes first in the given order
+    with pytest.raises(CapacityError) as err:
+        distributed_sort(30, [0, 3, 1, 2], MpcConfig(space_s=26))
+    assert str(err.value) == "sort of 30 items needs 36 words on one machine, budget allows 26"
+    distributed_sort(30, [0, 1], MpcConfig(space_s=26))
+
+
 def test_trace_json_lines_schema():
     g = WeightedEdgeList.build(3, [(0, 1, 1.0), (1, 2, 2.0)])
     _, trace = boruvka_mst(g, MpcConfig(space_s=256))
@@ -297,19 +315,6 @@ def test_trace_json_lines_schema():
                             "total_messages_words", "input_words", "kind", "segment"}
         assert obj["round"] == i
         assert obj["kind"] == trace.per_round[i].kind == "boruvka"
-
-
-def test_merge_parallel_overlays():
-    t1 = MpcTrace()
-    t2 = MpcTrace()
-    s1 = run_level([10], MpcConfig(space_s=96))
-    t1.append(s1)
-    t2.append(s1)
-    t2.append(s1)
-    merged = merge_parallel([t1, t2])
-    assert merged.rounds == 2
-    assert merged.per_round[0].machines_used == 2
-    assert merged.per_round[1].machines_used == 1
 
 
 def test_mpc_config_validation():

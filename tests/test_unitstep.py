@@ -279,13 +279,15 @@ def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam, d
 
 
 @pytest.mark.parametrize("metric", FLOAT_METRICS)
-@pytest.mark.parametrize("eps", (0.0, 0.3))
-def test_level_step_offset_repetitions_equal_separate_calls(metric, eps):
+@pytest.mark.parametrize("eps,level_diam", [
+    pytest.param(eps, level_diam, id=f"{eps}-inf" if math.isinf(level_diam) else f"{eps}")
+    for level_diam in (2.5, math.inf) for eps in (0.0, 0.3)])
+def test_level_step_offset_repetitions_equal_separate_calls(metric, eps, level_diam):
     # two repetitions of one tie-heavy cloud, with exact duplicates inside
     # each, in one pass: ids and labels of repetition 1 offset by n, each
-    # with its own subset and its own shifted cells. Each gets the edges,
-    # covering and labels of its own call: no duplicate joins its copy in
-    # the other repetition
+    # with its own subset and its own shifted cells, or one cell each at
+    # the root. Each gets the edges, covering and labels of its own call:
+    # no duplicate joins its copy in the other repetition
     rng = np.random.default_rng(29)
     n = 400
     ps = PointSet(points=rng.integers(0, 5, (n, 3)).astype(float) / 4.0, metric=metric)
@@ -295,13 +297,15 @@ def test_level_step_offset_repetitions_equal_separate_calls(metric, eps):
         ids = np.sort(rng.choice(n, size=300, replace=False))
         _, cells = np.unique(np.floor(ps.points[ids] * 2.0 + shift), axis=0,
                              return_inverse=True)
+        if math.isinf(level_diam):
+            cells = np.zeros(len(ids), dtype=np.int64)
         group = rng.integers(0, 30, len(ids))
         labels = ids[group_labels(cells * 30 + group)]
-        alone.append(level_step(ids, labels, cells, 2.5, eps, ps))
+        alone.append(level_step(ids, labels, cells, level_diam, eps, ps))
         offset = rep * n, (shared[-1][2].max() + 1 if shared else 0)
         shared.append((ids + offset[0], labels + offset[0], cells + offset[1]))
     ids, labels, cells = (np.concatenate(parts) for parts in zip(*shared))
-    cover, cover_labels, edges = level_step(ids, labels, cells, 2.5, eps, ps)
+    cover, cover_labels, edges = level_step(ids, labels, cells, level_diam, eps, ps)
     assert cover.tolist() == alone[0][0].tolist() + (alone[1][0] + n).tolist()
     assert cover_labels.tolist() == alone[0][1].tolist() + (alone[1][1] + n).tolist()
     second = edges["u"] >= n

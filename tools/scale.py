@@ -11,8 +11,14 @@ default word budget:
 - theorem-default: c1 = c2 = 1 and the default repetitions, ceil(log2 n),
   as `mpslc run` takes them.
 
+A `hamming-d<dim>` case times `hamming_mst` instead, under
+`MpcConfig.auto`, on n points uniform in {0, 1, 2}^dim (numpy seed 7).
+Unless `--n` is given, n is 2000 up to dim 12, 200 up to dim 16 and 40
+above.
+
     PYTHONPATH=src python tools/scale.py
     PYTHONPATH=src python tools/scale.py practical-1rep --n 1000000
+    PYTHONPATH=src python tools/scale.py hamming-d12 hamming-d16 hamming-d20
 
 The tree hash is the first 16 hex digits of a SHA-256 over the tree's
 edge records. This script is not part of the test suite.
@@ -36,24 +42,46 @@ CASES = {
 }
 
 
+def hamming_dim(case: str) -> int | None:
+    """The dimension of a `hamming-d<dim>` case, None for any other name."""
+    prefix, _, dim = case.partition("-d")
+    return int(dim) if prefix == "hamming" and dim.isdigit() else None
+
+
+def default_n(case: str) -> int:
+    dim = hamming_dim(case)
+    if dim is None:
+        return 100_000
+    return 2000 if dim <= 12 else 200 if dim <= 16 else 40
+
+
 def run_case(case: str, n: int) -> dict:
     """One pipeline run in this process, timed."""
     import numpy as np
 
     from mpslc.core import Metric, PointSet, Seed
-    from mpslc.mpc import edge_records
+    from mpslc.hamming import hamming_mst
+    from mpslc.mpc import MpcConfig, edge_records
     from mpslc.slc import SlcParams, approximate_mst
 
-    c, repetitions = CASES[case]
-    ps = PointSet(points=np.random.default_rng(80000).uniform(0.0, 1.0, (n, 3)),
-                  metric=Metric.L2)
-    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(81), repetitions=repetitions,
-                                     c1=c, c2=c)
-    start = time.perf_counter()
-    tree, trace = approximate_mst(ps, params)
+    dim = hamming_dim(case)
+    if dim is None:
+        c, repetitions = CASES[case]
+        ps = PointSet(points=np.random.default_rng(80000).uniform(0.0, 1.0, (n, 3)),
+                      metric=Metric.L2)
+        params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(81), repetitions=repetitions,
+                                         c1=c, c2=c)
+        about = {"repetitions": params.repetitions, "eps": round(params.eps, 4)}
+        start = time.perf_counter()
+        tree, trace = approximate_mst(ps, params)
+    else:
+        points = np.random.default_rng(7).integers(0, 3, (n, dim)).astype(np.float64)
+        ps = PointSet(points=points, metric=Metric.L0)
+        about = {"dim": dim}
+        start = time.perf_counter()
+        tree, trace = hamming_mst(ps, MpcConfig.auto(n, dim))
     wall = time.perf_counter() - start
-    return {"case": case, "n": n, "repetitions": params.repetitions,
-            "eps": round(params.eps, 4),
+    return {"case": case, "n": n, **about,
             "wall_s": round(wall, 3),
             "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "rounds": trace.rounds,
@@ -62,20 +90,24 @@ def run_case(case: str, n: int) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("cases", nargs="*", default=list(CASES), help=", ".join(CASES))
-    p.add_argument("--n", type=int, default=100_000, help="points per case (default 100000)")
+    p.add_argument("cases", nargs="*", default=list(CASES),
+                   help=", ".join(CASES) + " or hamming-d<dim>, dim 1 to 20")
+    p.add_argument("--n", type=int, help="points per case (default 100000, or per "
+                   "dimension for hamming-d<dim>)")
     p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    unknown = [case for case in args.cases if case not in CASES]
+    unknown = [case for case in args.cases
+               if case not in CASES and not 1 <= (hamming_dim(case) or 0) <= 20]
     if unknown:
         p.error(f"unknown cases: {', '.join(unknown)}")
-    if args.n < 2:
+    if args.n is not None and args.n < 2:
         p.error("--n must be at least 2")
     if args.child:
         print(json.dumps(run_case(args.cases[0], args.n)))
         return 0
     for case in args.cases:
-        cmd = [sys.executable, __file__, case, "--n", str(args.n), "--child"]
+        n = default_n(case) if args.n is None else args.n
+        cmd = [sys.executable, __file__, case, "--n", str(n), "--child"]
         out = subprocess.run(cmd, check=True, capture_output=True, text=True)
         print(out.stdout.strip(), flush=True)
     return 0
