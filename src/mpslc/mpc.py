@@ -11,10 +11,11 @@ existing machine has at least 2s/3 space available, which caps stored
 inputs at 2s/3 per machine and leaves s/3 of working space, and uses at
 most 3S/s + 1 machines for S total input words. A level round is
 accounted from its per-cell job sizes alone: the merge pass over all
-cells runs in `unitstep`, outside this module, and a sort from its item
-count and key length while its caller orders the items. Boruvka and
-connectivity are likewise accounted by phase from the edge counts of one
-`core.spanning_forest` call. Edges travel as `EDGE` record arrays.
+cells runs in `unitstep`, outside this module, and concurrent sorts from
+their item count and key lengths while the caller orders the items.
+Boruvka and connectivity are likewise accounted by phase from the edge
+counts of one `core.spanning_forest` call. Edges travel as `EDGE` record
+arrays.
 """
 
 from __future__ import annotations
