@@ -250,6 +250,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace_dump(args) -> int:
     ps = load_csv(args.input, Metric.parse(args.metric))
+    if args.out:
+        _probe(args.out)
     _tree, trace = _build_tree(ps, args.eta, Seed(args.seed), args.repetitions,
                                args.space_s)
     text = trace.to_json_lines()

@@ -6,7 +6,6 @@ branching use exact comparison on the computed values, never an epsilon.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +18,12 @@ class InputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An input exceeds a configured size budget."""
+    """An input exceeds a configured size budget; `job`, where given, is
+    the index of the refused job."""
+
+    def __init__(self, message: str, job: int | None = None):
+        super().__init__(message)
+        self.job = job
 
 
 class UnsupportedMetricError(InputError):
@@ -194,13 +198,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @functools.cached_property
-    def may_repeat(self) -> bool:
-        """Whether two points share their first coordinate, as any two exact
-        duplicates do; computed once per point set."""
-        first = np.sort(self.points[:, 0])
-        return bool(np.any(first[1:] == first[:-1]))
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,10 @@ def gen_cycle_vectors(g: GraphInstance, xi: float | None = None,
                       metric: Metric = Metric.L2) -> list:
     """Vertex vectors e_i + xi * sum of neighbor basis vectors; 3 nonzeros each.
 
-    Requires a 2-regular graph whose cycles have length >= 5 so that
-    adjacent vertices have disjoint remaining neighborhoods and the
-    adjacent-pair distance takes its closed form. Pairwise distances take
-    exactly three values (l2 / l1):
+    Requires a finite xi and a 2-regular graph whose cycles have length
+    >= 5, so that adjacent vertices have disjoint remaining neighborhoods
+    and the adjacent-pair distance takes its closed form. Pairwise
+    distances take exactly three values (l2 / l1):
 
     - cycle distance 1: sqrt(2 (1-xi)^2 + 2 xi^2) / 2|1-xi| + 2 xi;
     - cycle distance 2: sqrt(2 + 2 xi^2) / 2 + 2 xi, since the shared
@@ -130,6 +130,8 @@ def gen_cycle_vectors(g: GraphInstance, xi: float | None = None,
         raise InputError("cycle instances are defined for L1 and L2")
     if xi is None:
         xi = XI_DEFAULT[metric]
+    if not math.isfinite(xi):
+        raise InputError(f"xi = {xi:g} must be finite")
     if not np.all(g.degrees() == 2):
         raise InputError("cycle vectors require a 2-regular graph")
     lengths = g.cycle_lengths()

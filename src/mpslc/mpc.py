@@ -194,8 +194,9 @@ def run_level(sizes, cfg: MpcConfig) -> RoundStats:
     `sizes` holds each job's input words, in job order; the caller runs
     the jobs itself. Packing is greedy in that order: a machine takes jobs
     until it holds more than s/3 words, then the next machine opens. A job
-    whose working space exceeds s/3 is rejected, as is a packing beyond
-    3S/s + 1 machines for S total words.
+    whose working space exceeds s/3 is refused: the CapacityError names
+    the first such job and carries its index as `job`. A packing beyond
+    3S/s + 1 machines for S total words is an MpcContractError.
     """
     s = cfg.space_s
     cap = s // 3
@@ -204,7 +205,7 @@ def run_level(sizes, cfg: MpcConfig) -> RoundStats:
     if len(over):
         i = int(over[0])
         raise CapacityError(
-            f"job {i} needs {int(sizes[i])} words of working space, budget allows {cap}"
+            f"job {i} needs {int(sizes[i])} words of working space, budget allows {cap}", job=i
         )
     cum = np.cumsum(sizes)
     starts = []

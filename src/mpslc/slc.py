@@ -2,6 +2,11 @@
 their union of tree edges is finished by exact Boruvka, and clusterings
 come from deleting the longest tree edges.
 
+Exact duplicates share every cell at distance 0, so level 0 would join
+each at weight 0 to its owner, the lowest id with its coordinates, and
+keep the owners alone. That star joins the union once instead, and each
+repetition accounts level 0 with every point but passes on the owners.
+
 Every repetition samples a fresh random shift and contributes one forest.
 The repetitions are independent, so consecutive ones run the levels in
 lockstep, as many as fit `_PASS_VALUES` input coordinates, with ids and
@@ -45,6 +50,7 @@ from .mpc import (
     SpanningTree,
     WeightedEdgeList,
     boruvka_mst,
+    edge_array,
     edge_records,
     run_level,
     spread,
@@ -139,7 +145,17 @@ def _cells(rep: np.ndarray, coords: np.ndarray):
     return cells, order[starts]
 
 
-def _lockstep(ps: PointSet, params: SlcParams, reps: range, trace: MpcTrace) -> np.ndarray:
+def duplicate_owners(points: np.ndarray) -> np.ndarray:
+    """For every point, the lowest id with equal coordinates."""
+    # + 0.0 turns -0.0 into 0.0, so equal coordinates have equal bits
+    order, starts = row_runs((points + 0.0).view(np.int64))
+    owner = np.empty_like(order)
+    owner[order] = order[starts][np.cumsum(starts) - 1]
+    return owner
+
+
+def _lockstep(ps: PointSet, params: SlcParams, reps: range, distinct: np.ndarray,
+              trace: MpcTrace) -> np.ndarray:
     """Run the repetitions `reps` through all levels in lockstep and append
     their rounds to `trace`, one repetition after another; returns their
     forest edges on input ids as EDGE records.
@@ -147,18 +163,18 @@ def _lockstep(ps: PointSet, params: SlcParams, reps: range, trace: MpcTrace) -> 
     The j-th repetition's ids and labels are offset by j * n. A bounded
     level groups the points by repetition and cell, accounts each
     repetition's round from its own cell sizes (`run_level`) and runs one
-    merge pass over every cell (`level_step`). The root runs one pass per
-    repetition, although `level_step` would take them all: sharing the
-    roots cut the practical-constant `grid` operation (n = 1200, 13
-    repetitions) from about 121 to 107 ms, but it raised the `grid`
-    bench's peak RSS from 49.8-50.3 to 53.0 MB and the theorem-constant
-    operation's tracemalloc peak from 4.4 to 7.6 MB, as the root's
-    working set grows with the pass (5.9 MB even with probe blocks of
-    2^16). A repetition that
-    `run_level` refuses stops there, and so do the later ones, while the
-    earlier ones go on: the refusal raised is that of the lowest
-    repetition refused, at its first refused level, as if they ran one
-    after another.
+    merge pass over every cell (`level_step`); from level 0's pass on,
+    only the owners, which `distinct` marks, go on. The root runs one
+    pass per repetition, although `level_step` would take them all:
+    sharing the roots cut the practical-constant `grid` operation (n =
+    1200, 13 repetitions) from about 121 to 107 ms, but it raised the
+    `grid` bench's peak RSS from 49.8-50.3 to 53.0 MB and the
+    theorem-constant operation's tracemalloc peak from 4.4 to 7.6 MB, as
+    the root's working set grows with the pass (5.9 MB even with probe
+    blocks of 2^16). A repetition that `run_level` refuses stops there,
+    and so do the later ones, while the earlier ones go on: the refusal
+    raised is that of the lowest repetition refused, at its first
+    refused level, as if they ran one after another.
     """
     n, d = ps.n, ps.dim
     levels = params.partition.levels
@@ -193,16 +209,18 @@ def _lockstep(ps: PointSet, params: SlcParams, reps: range, trace: MpcTrace) -> 
                 rounds[j].append(run_level(jobs, params.mpc))
             except CapacityError as exc:
                 where = "root" if level == levels else f"level {level}"
-                # run_level refuses the first job above s/3 words, the only refusal
-                over = first[j] + np.flatnonzero(jobs > params.mpc.space_s // 3)[0]
+                head = heads[first[j] + exc.job]
                 cell = ((0,) * d if level == levels
-                        else tuple(coords_at_level(part, rows[heads[over]], level).tolist()))
+                        else tuple(coords_at_level(part, rows[head], level).tolist()))
                 refusal = (f"repetition {reps[j]}, {where}, cell {cell}: {exc}", exc)
                 end = np.searchsorted(ids, j * n)
                 ids, labels, cells = ids[:end], labels[:end], cells[:end]
                 break
         if not len(ids):
             break
+        if level == 0:
+            keep = distinct[ids % n]
+            ids, labels, cells = ids[keep], labels[keep], cells[keep]
         if level < levels:
             steps = [level_step(ids, labels, cells, level_diameter(params.partition, level),
                                 params.eps, ps)]
@@ -243,11 +261,14 @@ def approximate_mst(ps: PointSet, params: SlcParams):
         )
     trace = MpcTrace()
     n = ps.n
+    owner = duplicate_owners(ps.points)
+    distinct = owner == np.arange(n)
+    dup = np.flatnonzero(~distinct)
+    forests = [edge_array(owner[dup], dup, 0.0)]
     group = max(1, _PASS_VALUES // (n * ps.dim))
-    forests = []
     for first in range(0, params.repetitions, group):
-        forests.append(_lockstep(ps, params,
-                                 range(first, min(first + group, params.repetitions)), trace))
+        forests.append(_lockstep(ps, params, range(first, min(first + group, params.repetitions)),
+                                 distinct, trace))
     graph = WeightedEdgeList.build(n, np.concatenate(forests))
     if len(graph.edges) > params.repetitions * (n - 1):
         raise MpcContractError("sparsifier exceeded repetitions * (n - 1) edges")

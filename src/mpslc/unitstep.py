@@ -13,10 +13,10 @@ induced component labels on the covering.
 
 A point alone in its cell can neither merge nor leave the covering, so
 the pass runs on the cells of two points or more and the lone points
-rejoin its output. Exact duplicates join the lowest position in their
-cell with the same coordinates at weight 0, and the merge and the
-covering run over the distinct points. An id names the point id mod n,
-so one pass can serve the cells of several repetitions of the pipeline.
+rejoin its output. `slc` joins exact duplicates once, before the first
+pass, and hands on the lowest id of each; a pass treats equal points as
+any pair at distance 0. An id names the point id mod n, so one pass can
+serve the cells of several repetitions of the pipeline.
 
 An exact distance is measured only for a pair that no certified lower
 bound rules out, as dual-tree Boruvka (March, Ram & Gray, KDD 2010) and
@@ -70,9 +70,10 @@ _FILTER_PER_COMPONENT = 4
 def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric) -> np.ndarray:
     """Positions of the covering, unordered: the lowest position per cell
     and key. The key is the floored grid coordinates at a pitch whose
-    cells have diameter at most `radius`, and, the points being distinct,
-    the position when the radius is 0. An infinite radius has an infinite
-    pitch, so every floored coordinate is 0 and the key is the cell."""
+    cells have diameter at most `radius`, and the position when the
+    radius is 0, which keeps every point. An infinite radius has an
+    infinite pitch, so every floored coordinate is 0 and the key is the
+    cell."""
     if radius == 0:
         return np.arange(len(pts))
     step = radius / metric_profile(metric, pts.shape[1])[0]
@@ -424,7 +425,7 @@ def _live(labels, cells):
 
 def _merge_distinct(pts, labels, cells, threshold, metric):
     """Kruskal's edges of every cell of distinct points, as EDGE records
-    (lo, hi, w) in (w, lo, hi) order, and the merged labels.
+    (lo, hi, w), each stage's in (w, lo, hi) order, and the merged labels.
 
     After stage r of the level's source, its bucket grid or, for l2 above
     GRID_MAX_DIM, its Gram bounds, Kruskal takes the pooled pairs up to
@@ -460,16 +461,6 @@ def _merge_distinct(pts, labels, cells, threshold, metric):
     return np.concatenate(edges), labels
 
 
-def _duplicate_owner(pts, cells):
-    """For every position, the lowest position in its cell with equal
-    coordinates."""
-    # + 0.0 turns -0.0 into 0.0, so equal coordinates have equal bits
-    order, starts = row_runs(np.column_stack((cells, (pts + 0.0).view(np.int64))))
-    owner = np.empty_like(order)
-    owner[order] = order[starts][np.cumsum(starts) - 1]
-    return owner
-
-
 def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
                level_diam: float, eps: float, ps: PointSet):
     """One level's merge pass over all of its cells: in every cell, emit
@@ -487,18 +478,14 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     labels, offset alike, of a pass of its own. An infinite level_diam
     removes the threshold, so merging runs until every cell is one
     component; that is the root. eps = 0 degenerates to exact
-    closest-pair merging and an exact-duplicate covering.
+    closest-pair merging and a covering that keeps every point.
 
-    The pass runs on the cells of two points or more, numbered densely in
-    order with positions ascending, so every tie rule holds; the lone
-    points rejoin its output, and a level of lone points comes back whole.
-    Exact duplicates, and only they, are at distance 0 (up to l2 pairs so
-    close that every squared coordinate difference underflows), so Kruskal
-    first joins each to the lowest position in its cell with its
-    coordinates; no pair of a duplicate then comes before the same pair of
-    that position, and a level with duplicates narrows to the distinct
-    points for the merge and the covering. They are looked for only when
-    two input points share a first coordinate.
+    `slc` hands the pass distinct points, as it joins exact duplicates
+    before level 0; equal points would be merged like any pair at
+    distance 0, and at eps = 0 both kept. The pass runs on the cells of
+    two points or more, numbered densely in order with positions
+    ascending, so every tie rule holds; the lone points rejoin its output,
+    and a level of lone points comes back whole.
 
     Returns (covering ids in ascending order, their labels, tree edges as
     EDGE records on global ids with u < v, in (w, u, v) order).
@@ -515,19 +502,8 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     sub = (np.cumsum(shared) - 1)[cells[keep]]
     pts = ps.points[rep_ids[keep] % ps.n]
     labels = labels.copy()
-    # the input, not the pass, tells whether duplicates may occur, as a
-    # pass of several repetitions holds a point once per repetition
-    owner = _duplicate_owner(pts, sub) if ps.may_repeat else np.arange(len(keep))
-    distinct = owner == np.arange(len(keep))
-    joined = np.empty(0, dtype=EDGE)
-    if not distinct.all():
-        dup = np.flatnonzero(~distinct)
-        joined, labels[keep] = _kruskal(edge_array(owner[dup], dup, 0.0), labels[keep])
-        joined["u"], joined["v"] = rep_ids[keep[joined["u"]]], rep_ids[keep[joined["v"]]]
-        keep, sub, pts = keep[distinct], sub[distinct], pts[distinct]
     edges, labels[keep] = _merge_distinct(pts, labels[keep], sub, threshold, ps.metric)
     edges["u"], edges["v"] = rep_ids[keep[edges["u"]]], rep_ids[keep[edges["v"]]]
-    edges = np.concatenate((edges, joined))
     out = ~shared[cells]
     out[keep[_covering(pts, sub, radius, ps.metric)]] = True
     return rep_ids[out], labels[out], edges[np.lexsort((edges["v"], edges["u"], edges["w"]))]

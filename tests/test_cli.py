@@ -311,6 +311,8 @@ BAD_INPUTS = {
     "jl-eps-above-one": ["gen", "--jl-eps", "1.5"],
     "jl-eps-negative": ["gen", "--jl-eps", "-0.5"],
     "xi-zero": ["gen", "--xi", "0"],
+    "xi-nan": ["gen", "--xi", "nan"],
+    "xi-inf": ["gen", "--xi", "inf", "--jl-eps", "0.5"],
     "hamming-n-negative": ["gen-hardness", "--kind", "hamming", "--n", "-3"],
     "l0-space-s-20": ["l0", "--metric", "l0", "--k", "2", "--space-s", "20"],
     "run-out-no-dir": ["run", "--out", NO_DIR],
@@ -338,7 +340,7 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(("input error:", "capacity error:"))
 
 
-@pytest.mark.parametrize("case", ["run-out-no-dir", "run-curve-no-dir"])
+@pytest.mark.parametrize("case", ["run-out-no-dir", "run-curve-no-dir", "trace-dump-out-no-dir"])
 def test_cli_unwritable_output_fails_before_the_run(monkeypatch, tmp_path, capsys, case):
     # the output paths are probed before the tree is built, so a bad one
     # is reported at once, with the message the write would give
@@ -346,8 +348,8 @@ def test_cli_unwritable_output_fails_before_the_run(monkeypatch, tmp_path, capsy
         raise AssertionError("the tree was built before the output paths were probed")
 
     monkeypatch.setattr(cli, "_build_tree", build)
-    _head, *rest = BAD_INPUTS[case]
-    argv = ["run", "--input", _write_points(tmp_path, n=40)] + rest
+    head, *rest = BAD_INPUTS[case]
+    argv = [head, "--input", _write_points(tmp_path, n=40)] + rest
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot write {tmp_path}/missing/out: ")

@@ -67,6 +67,12 @@ def test_cycle_rejects_short_cycles():
         gen_cycle_vectors(g)
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_cycle_rejects_non_finite_xi(xi):
+    with pytest.raises(InputError, match=f"^xi = {xi:g} must be finite$"):
+        gen_cycle_vectors(GraphInstance.one_cycle(8), xi=xi)
+
+
 def test_two_cycles_cross_pairs_at_far_value():
     g = GraphInstance.two_cycles(12)
     vs = gen_cycle_vectors(g)

@@ -22,6 +22,7 @@ from mpslc.slc import (
     SlcParams,
     approximate_mst,
     derive_eps,
+    duplicate_owners,
     k_slc_from_mst,
     verify_per_edge_guarantee,
 )
@@ -131,6 +132,63 @@ def test_approximate_mst_duplicates():
     assert len(tree.edges) == 3
 
 
+def test_approximate_mst_duplicate_points_merge_at_zero():
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    ps = PointSet(points=pts, metric=Metric.L2)
+    tree, _trace = approximate_mst(ps, SlcParams.for_point_set(ps, 0.5, Seed(7)))
+    assert (0, 1, 0.0) in tree.edges
+    assert len(tree.edges) == 2
+
+
+def test_duplicate_owners_join_signed_zeros():
+    # a point's owner is the lowest id with its coordinates: 0.0 and -0.0
+    # are one coordinate, and a point 1e-300 away is another point
+    pts = np.array([[0.5, -0.0], [0.0, 0.0], [0.5, 0.0], [-0.0, -0.0], [0.0, 1e-300],
+                    [-0.0, 0.0]])
+    assert duplicate_owners(pts).tolist() == [0, 1, 0, 1, 4, 1]
+    ps = PointSet(points=np.array([[0.0, 1.0], [-0.0, 1.0]]), metric=Metric.L2)
+    tree, _trace = approximate_mst(ps, SlcParams.for_point_set(ps, 0.5, Seed(1)))
+    assert tree.edges == ((0, 1, 0.0),)
+
+
+@pytest.mark.parametrize("metric", FLOAT_METRICS, ids=lambda m: m.value)
+def test_duplicates_are_joined_once_before_the_level_passes(monkeypatch, metric):
+    # 400 points on the 64 sites of {-1, 0, 1, 2}^3, zeros of either sign,
+    # in two lockstep groups of repetitions: one owner search per call, no
+    # level pass gets two equal points of one repetition, and every other
+    # point joins its owner at weight 0
+    n = 400
+    pts = np.random.default_rng(43).choice([-1.0, -0.0, 0.0, 1.0, 2.0], (n, 3))
+    ps = PointSet(points=pts, metric=metric)
+    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(43), repetitions=3)
+    searches, passes = [], []
+
+    def owners(points):
+        searches.append(len(points))
+        return duplicate_owners(points)
+
+    def step(ids, *args):
+        rows = np.column_stack((ids // n, (pts[ids % n] + 0.0).view(np.int64)))
+        passes.append(len(np.unique(rows, axis=0)) == len(ids))
+        return level_step(ids, *args)
+
+    monkeypatch.setattr(slc, "duplicate_owners", owners)
+    monkeypatch.setattr(slc, "level_step", step)
+    monkeypatch.setattr(slc, "_PASS_VALUES", 2 * n * 3)
+    tree, _trace = approximate_mst(ps, params)
+    assert searches == [n]
+    # each group's bounded levels, and a root per repetition
+    assert len(passes) == 2 * params.partition.levels + 3 and all(passes)
+    # in Python -0.0 == 0.0, with one hash
+    lowest = {}
+    for i, row in enumerate(map(tuple, pts.tolist())):
+        lowest.setdefault(row, i)
+    star = {(lowest[row], i, 0.0) for i, row in enumerate(map(tuple, pts.tolist()))
+            if lowest[row] != i}
+    assert len(lowest) < 100 and star <= set(tree.edges)
+    assert verify_per_edge_guarantee(tree, exact_mst(ps), 0.5).ok
+
+
 def test_approximate_mst_all_identical():
     ps = PointSet(points=np.zeros((6, 2)), metric=Metric.L2)
     params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(9))
@@ -145,7 +203,7 @@ def test_degenerate_inputs_run_the_pipeline(n, d, metric):
     ps = PointSet(points=np.full((n, d), 0.7), metric=metric)
     params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(4))
     tree, trace = approximate_mst(ps, params)
-    # level 0's duplicate pass joins every point to vertex 0 at weight 0
+    # the duplicate star joins every point to vertex 0 at weight 0
     assert tree.edges == tuple((0, i, 0.0) for i in range(1, n))
     kinds = [r.kind for r in trace.per_round]
     reps, levels = params.repetitions, params.partition.levels
@@ -301,6 +359,31 @@ def test_capacity_error_names_lowest_refused_repetition():
     assert str(caught.value) == ("repetition 0, root, cell (0, 0): job 0 needs 1200 words "
                                  "of working space, budget allows 266")
     assert isinstance(caught.value.__cause__, CapacityError)
+
+
+def test_capacity_error_names_the_first_refused_cell_of_a_level():
+    # s/3 = 80 words, 20 points of 4 words: the first level with a larger
+    # cell refuses the first of them in coordinate order, the order of its
+    # jobs, and that is not the level's first cell
+    ps = PointSet(points=np.random.default_rng(1).uniform(0.0, 1.0, (300, 2)),
+                  metric=Metric.L2)
+    params = SlcParams.for_point_set(ps, eta=0.5, seed=Seed(1), repetitions=1,
+                                     mpc=MpcConfig(space_s=240))
+    part = sample_partition(ps, params.partition, derive_seed(params.seed, "repetition-0"))
+    base = base_cell_coords(part, ps.points)
+    for level in range(params.partition.levels):
+        cells, counts = np.unique(coords_at_level(part, base, level), axis=0,
+                                  return_counts=True)
+        over = np.flatnonzero(counts * 4 > 80)
+        if len(over):
+            break
+    job = int(over[0])
+    assert level < params.partition.levels - 1 and job > 0
+    with pytest.raises(CapacityError) as caught:
+        approximate_mst(ps, params)
+    assert str(caught.value) == (
+        f"repetition 0, level {level}, cell {tuple(cells[job].tolist())}: job {job} needs "
+        f"{counts[job] * 4} words of working space, budget allows 80")
 
 
 def _lockstep_cases():

@@ -8,7 +8,7 @@ from mpslc.core import Metric, PointSet, spanning_forest
 from mpslc.mpc import EDGE, edge_array
 from mpslc.oracle import _row_dists, brute_closest_cross_pair, kruskal_edges, kruskal_points_mst
 from mpslc.partition import metric_profile
-from mpslc.slc import derive_eps
+from mpslc.slc import derive_eps, duplicate_owners
 from mpslc import unitstep
 from mpslc.unitstep import level_step
 
@@ -71,10 +71,22 @@ def test_covering_radius_property_random():
             assert d <= radius + 1e-12
 
 
+def owner_star(points):
+    """The ids that `slc.approximate_mst` hands the level passes, the
+    lowest of each point's coordinates, and the weight-0 star that joins
+    every other id to its owner."""
+    owner = duplicate_owners(points)
+    dup = np.flatnonzero(owner != np.arange(len(points)))
+    return np.flatnonzero(owner == np.arange(len(points))), edge_array(owner[dup], dup, 0.0)
+
+
 def test_covering_radius_zero_keeps_lowest_id_per_point():
-    pts = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.0, 1e-300]])
+    # a pass gets the lowest id of each point, and the covering at radius
+    # 0 keeps them all, the point 1e-300 from another included
+    pts = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [-0.0, 0.0], [0.0, 1e-300]])
     ps = PointSet(points=pts, metric=Metric.L2)
-    cover, labels, edges = run_step({i: 0 for i in range(5)}, 1.0, 0.0, ps)
+    owners, _star = owner_star(pts)
+    cover, labels, edges = run_step({int(i): 0 for i in owners}, 1.0, 0.0, ps)
     assert len(edges) == 0
     assert cover == [0, 1, 4]
     assert labels.tolist() == [0, 0, 0]
@@ -194,23 +206,6 @@ def test_unit_step_grid_path_matches_brute():
     assert got == want
 
 
-def test_unit_step_duplicate_points_merge_at_zero():
-    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    ps = PointSet(points=pts, metric=Metric.L2)
-    cover, _labels, edges = run_step(singletons(range(3)), 1e-9, 0.5, ps)
-    assert (0, 1, 0.0) in edges.tolist()
-    assert len(cover) == 2
-
-
-def test_unit_step_radius_zero_covering_joins_signed_zeros():
-    # 0.0 and -0.0 are the same coordinate: the points join at weight 0,
-    # and the exact covering keeps one of them
-    ps = PointSet(points=np.array([[0.0, 1.0], [-0.0, 1.0]]), metric=Metric.L2)
-    cover, _labels, edges = run_step(singletons(range(2)), 1.0, 0.0, ps)
-    assert edges.tolist() == [(0, 1, 0.0)]
-    assert cover == [0]
-
-
 def test_unit_step_brute_engine_memory_bounded():
     # d above GRID_MAX_DIM makes a 300-point root cell one bucket, paired
     # in one pass; a one-block distance tensor would need 2 x 300 x 300 x
@@ -283,15 +278,15 @@ def test_level_step_multi_cell_equals_one_cell_calls(metric, ties, level_diam, d
     pytest.param(eps, level_diam, id=f"{eps}-inf" if math.isinf(level_diam) else f"{eps}")
     for level_diam in (2.5, math.inf) for eps in (0.0, 0.3)])
 def test_level_step_offset_repetitions_equal_separate_calls(metric, eps, level_diam):
-    # two repetitions of one tie-heavy cloud, with exact duplicates inside
-    # each, in one pass: ids and labels of repetition 1 offset by n, each
-    # with its own subset and its own shifted cells, or one cell each at
-    # the root. Each gets the edges, covering and labels of its own call:
-    # no duplicate joins its copy in the other repetition
+    # two repetitions of one tie-heavy cloud of distinct lattice points in
+    # one pass: ids and labels of repetition 1 offset by n, each with its
+    # own subset and its own shifted cells, or one cell each at the root.
+    # Each gets the edges, covering and labels of its own call: no point
+    # joins its copy, at distance 0, in the other repetition
     rng = np.random.default_rng(29)
     n = 400
-    ps = PointSet(points=rng.integers(0, 5, (n, 3)).astype(float) / 4.0, metric=metric)
-    assert ps.may_repeat
+    sites = np.indices((8, 8, 8)).reshape(3, -1).T
+    ps = PointSet(points=sites[rng.permutation(len(sites))[:n]] / 8.0, metric=metric)
     alone, shared = [], []
     for rep, shift in enumerate((0.0, 0.3)):
         ids = np.sort(rng.choice(n, size=300, replace=False))
@@ -313,8 +308,6 @@ def test_level_step_offset_repetitions_equal_separate_calls(metric, eps, level_d
     edges["u"] -= n * second
     edges["v"] -= n * second
     assert edges[second].tolist() == alone[1][2].tolist()
-    for _cover, _labels, own in alone:
-        assert np.any(own["w"] == 0.0), "each repetition should join duplicates"
 
 
 def oracle_level_edges(ps, rep_ids, labels, cells, threshold):
@@ -378,29 +371,29 @@ def count_pair_distances(monkeypatch):
 @pytest.mark.parametrize("metric", FLOAT_METRICS)
 @pytest.mark.parametrize("level_diam", (4.0, math.inf))
 def test_level_step_duplicates_pair_only_distinct_points(monkeypatch, metric, level_diam):
-    # 600 points on the 27 sites of {0, 1, 2}^3 in one cell: Kruskal's
-    # edges, computed from pairs of the 27 distinct sites alone. Components
-    # span two sites, so the zero-weight edges join sites.
+    # level 0 of 600 points on the 27 sites of {0, 1, 2}^3 in one cell, as
+    # `slc` runs it: the weight-0 star joins every point to its site's
+    # lowest id, and the pass over those 27 ids, from their pairs alone,
+    # adds the rest of Kruskal's edges over all 600 points
     rng = np.random.default_rng(23)
     pts = rng.integers(0, 3, (600, 3)).astype(float)
     ps = PointSet(points=pts, metric=metric)
     ids = np.arange(600, dtype=np.int64)
-    site = (pts @ [9.0, 3.0, 1.0]).astype(np.int64)
-    labels = group_labels(site // 2 * 3 + rng.integers(0, 3, 600))
     cells = np.zeros(600, dtype=np.int64)
+    owners, star = owner_star(pts)
     seen = count_pair_distances(monkeypatch)
-    _cover, merged, edges = level_step(ids, labels, cells, level_diam, 0.5, ps)
-    assert seen[0] <= 27 * 26 // 2
-    assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, 0.5 * level_diam))
-    assert 0 < sum(w == 0.0 for *_, w in edges) < len(edges)
+    _cover, merged, edges = level_step(owners, owners, cells[owners], level_diam, 0.5, ps)
+    assert len(owners) == 27 and seen[0] <= 27 * 26 // 2
+    assert_same_edges(np.concatenate((star, edges)),
+                      oracle_level_edges(ps, ids, ids, cells, 0.5 * level_diam))
     if math.isinf(level_diam):
         assert len(np.unique(merged)) == 1
         return
     # the same cell with 20 distinct points added, beside a cell of 40
     # copies of one site, lone once they are joined, a cell of 30 distinct
     # points and 5 lone points, in shuffled order: at eps 1/2 and at eps 0,
-    # whose covering keeps every distinct point, still the oracle's edges
-    # from the distinct pairs, and no duplicate in the covering
+    # whose covering keeps every id it gets, still the oracle's edges from
+    # the distinct pairs, and no duplicate in the covering
     blocks = [np.concatenate((pts, rng.random((20, 3)) * 2.0)), np.full((40, 3), 7.0),
               rng.random((30, 3)) * 2.0 + 10.0] + [np.full((1, 3), 20.0 + k) for k in range(5)]
     order = rng.permutation(sum(map(len, blocks)))
@@ -408,15 +401,16 @@ def test_level_step_duplicates_pair_only_distinct_points(monkeypatch, metric, le
     cells = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))[order]
     ps = PointSet(points=pts, metric=metric)
     ids = np.arange(len(pts), dtype=np.int64)
-    labels = group_labels(cells * 10 + rng.integers(0, 3, len(pts)))
+    owners, star = owner_star(pts)
     keys = list(map(tuple, np.column_stack((cells, pts)).tolist()))
     lowest = {}
     for i, key in enumerate(keys):
         lowest.setdefault(key, i)
     for eps in (0.5, 0.0):
         seen[0] = 0
-        cover, _merged, edges = level_step(ids, labels, cells, level_diam, eps, ps)
-        assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, eps * level_diam))
+        cover, _merged, edges = level_step(owners, owners, cells[owners], level_diam, eps, ps)
+        assert_same_edges(np.concatenate((star, edges)),
+                          oracle_level_edges(ps, ids, ids, cells, eps * level_diam))
         assert seen[0] <= (27 + 20) * (27 + 19) // 2 + 30 * 29 // 2
         assert all(lowest[keys[i]] == i for i in cover.tolist())
         assert np.isin(np.flatnonzero(cells == 1), cover).tolist() == [True] + [False] * 39
@@ -739,7 +733,7 @@ def test_level_step_lone_points_skip_the_pass(monkeypatch, root):
     labels = ids.copy()
     cells = np.random.default_rng(32).permutation(len(ids))
     calls = []
-    for name in ("_duplicate_owner", "_merge_distinct", "_covering"):
+    for name in ("_merge_distinct", "_covering"):
         monkeypatch.setattr(unitstep, name, lambda *args, name=name: calls.append(name))
     cover, cover_labels, edges = level_step(ids, labels, cells, math.inf if root else 0.5,
                                             0.5, ps)
@@ -751,13 +745,18 @@ def test_level_step_lone_points_skip_the_pass(monkeypatch, root):
 @pytest.mark.parametrize("metric", FLOAT_METRICS)
 @pytest.mark.parametrize("eps", (0.0, 0.5))
 def test_level_step_lone_points_beside_shared_cells(metric, eps):
-    # lone points between cells of 2 to 8 points, duplicates among them:
-    # the edges are the oracle's, and the covering and its labels are
-    # those of one pass over every cell of the level
+    # lone points between cells of 2 to 8 distinct points on a lattice, so
+    # with ties: the edges are the oracle's, and the covering and its
+    # labels are those of one pass over every cell of the level
     rng = np.random.default_rng(33)
     sizes = np.where(rng.random(90) < 0.5, 1, rng.integers(2, 9, 90))
     cells = rng.permutation(np.repeat(np.arange(90), sizes))
-    pts = cells[:, None] * 3.0 + rng.integers(0, 3, (len(cells), 3)) * 0.25
+    # the k-th point of a cell takes the k-th site of the cell's own shuffle
+    rank = np.empty(len(cells), dtype=np.int64)
+    rank[np.argsort(cells, kind="stable")] = unitstep._ranks(sizes)
+    shuffles = rng.permuted(np.tile(np.arange(27), (90, 1)), axis=1)
+    sites = np.indices((3, 3, 3)).reshape(3, -1).T
+    pts = cells[:, None] * 3.0 + sites[shuffles[cells, rank]] * 0.25
     ps = PointSet(points=pts, metric=metric)
     ids = np.arange(len(cells), dtype=np.int64)
     labels = group_labels(cells * 10 + rng.integers(0, 3, len(cells)))
@@ -765,7 +764,7 @@ def test_level_step_lone_points_beside_shared_cells(metric, eps):
     cover, cover_labels, edges = level_step(ids, labels, cells, level_diam, eps, ps)
     threshold = eps * level_diam
     assert_same_edges(edges, oracle_level_edges(ps, ids, labels, cells, threshold))
-    assert 0.0 in edges["w"].tolist()
+    assert len(np.unique(pts, axis=0)) == len(pts)
     # one pass over every cell: the lowest id per cell and key, and the
     # input labels joined by the oracle's edges, each set to its lowest
     radius = eps * eps * level_diam

@@ -8,10 +8,12 @@ run at theorem constants. A case `<metric>-d<dim>` is n uniform points in
 [0, 1)^dim (numpy seed 80000) under l1, l2 or linf, n = 20000 unless
 `--n` is given. A case `jl-d<dim>` is the one-cycle hardness instance
 projected to dim dimensions (`Seed(81)`) under l2, n = 5000 unless `--n`
-is given. A case `int-d<dim>` is n integer points in [0, 20)^dim (numpy
-seed 80000) under `--metric` (l2 unless given), n = 20000 unless `--n`
-is given, so exact duplicates are joined before the merge. The default
-cases are d = 3, 5 and 6 under l1 and l2, and jl-d192.
+is given. A case `int-d<dim>` is the distinct points among n integer
+points in [0, 20)^dim (numpy seed 80000), the lowest id of each as
+`slc.duplicate_owners` finds it, under `--metric` (l2 unless given),
+n = 20000 unless `--n` is given: a tied root, which like every root
+`slc` runs holds no exact duplicates. The default cases are d = 3, 5
+and 6 under l1 and l2, and jl-d192.
 
     PYTHONPATH=src python tools/roots.py
     PYTHONPATH=src python tools/roots.py l2-d7 l2-d8 --n 5000 --grid-max-dim 8
@@ -39,12 +41,13 @@ CASE = re.compile(r"(l1|l2|linf|jl|int)-d([1-9][0-9]*)")
 
 
 def point_set(case: str, n: int, metric: str):
-    """The case's points: uniform, integer, or the projected one-cycle
-    instance."""
+    """The case's points: uniform, distinct integer, or the projected
+    one-cycle instance."""
     import numpy as np
 
     from mpslc import hardness
     from mpslc.core import Metric, PointSet, Seed
+    from mpslc.slc import duplicate_owners
 
     kind, dim = CASE.fullmatch(case).groups()
     if kind == "jl":
@@ -53,7 +56,8 @@ def point_set(case: str, n: int, metric: str):
         return hardness.jl_project(vectors, hardness.JlParams(int(dim), Seed(81)))
     rng = np.random.default_rng(80000)
     if kind == "int":
-        return PointSet(points=rng.integers(0, 20, (n, int(dim))).astype(float),
+        points = rng.integers(0, 20, (n, int(dim))).astype(float)
+        return PointSet(points=points[duplicate_owners(points) == np.arange(n)],
                         metric=Metric.parse(metric))
     return PointSet(points=rng.random((n, int(dim))), metric=Metric.parse(kind))
 
