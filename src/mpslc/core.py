@@ -54,10 +54,14 @@ _CHUNK = 1 << 15
 
 def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric) -> np.ndarray:
     """Distances between rows pts[u[k]] and pts[v[k]] for every k, made
-    in place chunk by chunk and reduced along each row into the output,
-    so every distance is bit for bit that of one unchunked reduction."""
+    in place chunk by chunk into the output. Below 8 columns a chunk is
+    reduced column by column, from 8 on along each row: numpy sums fewer
+    than 8 terms in order, so every distance is bit for bit that of one
+    unchunked reduction along the rows."""
     out = np.empty(len(u))
-    step = max(1, _CHUNK // pts.shape[1])
+    width = pts.shape[1]
+    step = max(1, _CHUNK // width)
+    fold = np.maximum if metric is Metric.LINF else np.add
     for k in range(0, len(u), step):
         d, e = pts[u[k:k + step]], pts[v[k:k + step]]
         if metric is Metric.L0:
@@ -66,7 +70,13 @@ def pair_distances(pts: np.ndarray, u: np.ndarray, v: np.ndarray, metric: Metric
             np.square(np.subtract(d, e, out=d), out=d)
         else:
             np.abs(np.subtract(d, e, out=d), out=d)
-        (np.max if metric is Metric.LINF else np.sum)(d, axis=1, out=out[k:k + step])
+        part = out[k:k + step]
+        if width < 8:
+            part[:] = d[:, 0]
+            for j in range(1, width):
+                fold(part, d[:, j], out=part)
+        else:
+            fold.reduce(d, axis=1, out=part)
     return np.sqrt(out, out=out) if metric is Metric.L2 else out
 
 
@@ -160,9 +170,7 @@ def row_runs(keys: np.ndarray):
                 word += keys[:, j] - lo[j]
             words.append(word)
         if p == 1 and sizes[0] * n < 2**63:
-            order = words[0] * n + np.arange(n)
-            order.sort()
-            order %= n
+            order = _stable_argsort(words[0])
         else:
             order = np.lexsort(words[::-1])
         ordered = np.stack(words)[:, order]
@@ -171,6 +179,35 @@ def row_runs(keys: np.ndarray):
         if len(words) == len(groups) or starts.all():
             return order, starts
         p *= 2
+
+
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """np.argsort(key, kind="stable") of nonnegative int64 keys whose
+    largest times len(key) stays below 2^63: with the position as the
+    last digit, one plain sort of distinct numbers gives the order."""
+    n = len(key)
+    order = key * n + np.arange(n)
+    order.sort()
+    order %= n
+    return order
+
+
+def edge_order(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Positions in stable (w, u, v) order, as np.lexsort((v, u, w)) gives
+    them, from single-key sorts: the stable order of the packed key
+    (u - min u) * (max v - min v + 1) + v - min v, or a lexsort of (u, v)
+    where the key and the position would not fit 63 bits, then a stable
+    sort by w."""
+    n = len(u)
+    if n < 2:
+        return np.arange(n)
+    ulo, vlo = int(u.min()), int(v.min())
+    radix = int(v.max()) - vlo + 1
+    if (int(u.max()) - ulo + 1) * radix * n < 2**63:
+        order = _stable_argsort((u - ulo) * radix + (v - vlo))
+    else:
+        order = np.lexsort((v, u))
+    return order[np.argsort(w[order], kind="stable")]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import CapacityError, InputError, spanning_forest
+from .core import CapacityError, InputError, edge_order, spanning_forest
 
 
 class MpcContractError(RuntimeError):
@@ -176,7 +176,7 @@ class SpanningTree:
                 f"leaves the vertex range [0, {self.n_vertices})")
         taken, _labels, _phases = spanning_forest(u, v, self.n_vertices)
         _refuse(u, v, ~np.isin(np.arange(len(u)), taken), "closes a cycle")
-        order = np.lexsort((v, u, edges["w"]))
+        order = edge_order(u, v, edges["w"])
         edges = edge_array(u[order], v[order], edges["w"][order])
         object.__setattr__(self, "edges", tuple(edges.tolist()))
 
@@ -299,22 +299,34 @@ def distributed_sort(n_items: int, key_words, cfg: MpcConfig) -> MpcTrace:
     messages and input words add up over the sorts, and a round's peak is
     the largest of theirs. The split round holds a chunk and 2 words per
     other machine on every machine; the first sort, in the given order,
-    that the budget cannot hold is refused as a CapacityError."""
+    that the budget cannot hold is refused as a CapacityError. Sorts of
+    one key length cost alike, so each length is costed once, times its
+    count."""
     s = cfg.space_s
-    total = n_items * (np.atleast_1d(key_words).astype(np.int64) + 1)
+    key_words = np.atleast_1d(np.asarray(key_words, dtype=np.int64))
+    low = int(key_words.min())
+    offset = key_words - low
+    count = np.bincount(offset)
+    length = np.flatnonzero(count)
+    count = count[length]
+    total = n_items * (length + low + 1)
     machines = np.maximum(1, -(-total // (s // 3)))
     chunk = -(-total // machines)
     splitter_words = 2 * (machines - 1)
     peak = chunk + np.maximum(chunk, splitter_words)
-    over = np.flatnonzero(peak > s)
-    if len(over):
-        raise CapacityError(f"sort of {n_items} items needs {int(peak[over[0]])} words "
-                            f"on one machine, budget allows {s}")
-    m, words, top = int(machines.sum()), int(total.sum()), int(chunk.max())
+    if np.any(peak > s):
+        # each length's peak where the budget refuses it, 0 where not
+        refused = np.zeros(int(length[-1]) + 1, dtype=np.int64)
+        refused[length] = np.where(peak > s, peak, 0)
+        first = refused[offset]
+        raise CapacityError(f"sort of {n_items} items needs {int(first[np.argmax(first > 0)])} "
+                            f"words on one machine, budget allows {s}")
+    m, words, top = int((machines * count).sum()), int((total * count).sum()), int(chunk.max())
     return MpcTrace(per_round=[
         RoundStats(m, top, words, words, "sort"),
         RoundStats(m, int((chunk + splitter_words).max()),
-                   int((machines * splitter_words).sum()), int(splitter_words.sum()), "sort"),
+                   int((machines * splitter_words * count).sum()),
+                   int((splitter_words * count).sum()), "sort"),
         RoundStats(m, 2 * top, words, words, "sort"),
         RoundStats(m, top, words, words, "sort"),
     ])

@@ -49,6 +49,7 @@ import numpy as np
 from .core import (
     Metric,
     PointSet,
+    edge_order,
     pair_distances,
     row_runs,
     spanning_forest,
@@ -72,12 +73,15 @@ def _covering(pts: np.ndarray, cells: np.ndarray, radius: float, metric: Metric)
     and key. The key is the floored grid coordinates at a pitch whose
     cells have diameter at most `radius`, and the position when the
     radius is 0, which keeps every point. An infinite radius has an
-    infinite pitch, so every floored coordinate is 0 and the key is the
-    cell."""
+    infinite pitch, where every floored coordinate would be 0, so the
+    cell alone is the key."""
     if radius == 0:
         return np.arange(len(pts))
-    step = radius / metric_profile(metric, pts.shape[1])[0]
-    keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
+    if math.isinf(radius):
+        keys = cells[:, None]
+    else:
+        step = radius / metric_profile(metric, pts.shape[1])[0]
+        keys = np.column_stack((cells, np.floor(pts / step).astype(np.int64)))
     order, starts = row_runs(keys)
     return order[starts]
 
@@ -139,10 +143,13 @@ class _Grid:
         dim = self.width if self.width <= GRID_MAX_DIM else 0
         pts = pts[:, :dim]
         n_cells = int(cells.max()) + 1
-        lo = np.full((n_cells, dim), np.inf)
-        hi = np.full((n_cells, dim), -np.inf)
-        np.minimum.at(lo, cells, pts)
-        np.maximum.at(hi, cells, pts)
+        # column by column, as numpy's ufunc.at is far faster on 1-d arrays
+        lo = np.full((dim, n_cells), np.inf)
+        hi = np.full((dim, n_cells), -np.inf)
+        for j in range(dim):
+            np.minimum.at(lo[j], cells, pts[:, j])
+            np.maximum.at(hi[j], cells, pts[:, j])
+        lo, hi = lo.T, hi.T
         extent = (hi - lo).max(axis=1, initial=0.0)
         volume = float(np.sum(extent ** dim))
         spacing = (volume / (_BUCKETS_PER_POINT * len(pts))) ** (1 / max(dim, 1))
@@ -167,12 +174,12 @@ class _Grid:
         self.pitch, self.reach, self.span, self.dim = pitch, reach, span, dim
         self.threshold, self.metric = threshold, metric
         self.weights = mult ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        self.keys, inv = np.unique(cells * mult ** dim + (local + pad) @ self.weights,
-                                   return_inverse=True)
-        self.members = np.argsort(inv, kind="stable")
-        self.counts = np.bincount(inv, minlength=len(self.keys))
-        self.starts = np.cumsum(self.counts) - self.counts
-        self.bucket_cell = cells[self.members[self.starts]]
+        key = cells * mult ** dim + (local + pad) @ self.weights
+        self.members, first = row_runs(key[:, None])
+        self.starts = np.flatnonzero(first)
+        self.counts = np.diff(self.starts, append=len(key))
+        heads = self.members[self.starts]
+        self.keys, self.bucket_cell = key[heads], cells[heads]
         # a cell is paired whole in stage 1 when its pairs number no more than
         # its stage-1 probes; with one stage, every cell is paired by it anyway
         buckets = np.bincount(self.bucket_cell, minlength=n_cells)
@@ -357,7 +364,8 @@ def _kruskal(pairs, labels, among=None):
     only the pairs up to the weight of that many per component. Under the
     strict order they are a prefix, ties included; of the heavier pairs
     only those whose ends the prefix leaves apart go on, and so on while
-    any do.
+    any do. Each sort is `edge_order`'s: the packed (lo, hi) key, then a
+    stable sort by w.
     """
     comps, inv = np.unique(labels, return_inverse=True)
     u, v, w = pairs["u"], pairs["v"], pairs["w"]
@@ -372,7 +380,7 @@ def _kruskal(pairs, labels, among=None):
             part, rest = rest[light], rest[~light]
         else:
             part, rest = rest, rest[:0]
-        part = part[np.lexsort((v[part], u[part], w[part]))]
+        part = part[edge_order(u[part], v[part], w[part])]
         got, joined, _phases = spanning_forest(roots[inv[u[part]]], roots[inv[v[part]]],
                                                len(comps))
         taken.append(part[got])
@@ -418,9 +426,14 @@ def _candidates(pts, labels, blocks, threshold, metric, pool):
 
 
 def _live(labels, cells):
-    """Mask of the cells that still hold two components."""
-    _, first = np.unique(labels, return_index=True)
-    return np.bincount(cells[first], minlength=int(cells.max()) + 1) > 1
+    """Mask of the cells that still hold two components. No component
+    spans two cells, so these are the cells whose lowest and highest
+    labels differ; every cell 0 ... k-1 must hold a point."""
+    lo = np.full(int(cells.max()) + 1, labels.max())
+    hi = np.full(len(lo), labels.min())
+    np.minimum.at(lo, cells, labels)
+    np.maximum.at(hi, cells, labels)
+    return lo != hi
 
 
 def _merge_distinct(pts, labels, cells, threshold, metric):
@@ -506,4 +519,4 @@ def level_step(rep_ids: np.ndarray, labels: np.ndarray, cells: np.ndarray,
     edges["u"], edges["v"] = rep_ids[keep[edges["u"]]], rep_ids[keep[edges["v"]]]
     out = ~shared[cells]
     out[keep[_covering(pts, sub, radius, ps.metric)]] = True
-    return rep_ids[out], labels[out], edges[np.lexsort((edges["v"], edges["u"], edges["w"]))]
+    return rep_ids[out], labels[out], edges[edge_order(edges["u"], edges["v"], edges["w"])]

@@ -12,6 +12,7 @@ from mpslc.core import (
     Seed,
     SparsePoint,
     derive_seed,
+    edge_order,
     pair_distances,
     rng_stream,
     row_runs,
@@ -189,19 +190,25 @@ def test_pair_distances_agree_with_scalar():
 ALL_METRICS = (Metric.L0, Metric.L1, Metric.L2, Metric.LINF)
 
 
-@pytest.mark.parametrize("d", [1, 3, 192, _CHUNK + 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 192, _CHUNK + 5])
 def test_pair_distances_equal_one_unchunked_reduction(d):
     # lengths around the chunk of _CHUNK // d pairs, and a d wider than a
-    # chunk, give the weights of one reduction over all pairs, bit for bit
+    # chunk, give the weights of one reduction over all pairs, bit for bit;
+    # below 8 columns the chunks are reduced column by column, from 8 on
+    # along the rows. Rows of magnitude 1e300 and 1e-300 beside rows of
+    # magnitude 1 round differently in another order of summation
     step = max(1, _CHUNK // d)
     rng = np.random.default_rng(d)
     pts = rng.normal(size=(40, d))
     pts[rng.random(pts.shape) < 0.3] = 0.5
+    pts[:6] *= 1e300
+    pts[6:12] *= 1e-300
     for m in (0, 1, step - 1, step, step + 1, 3 * step + 2):
         u, v = rng.integers(0, 40, (2, m))
         for metric in ALL_METRICS:
-            got = pair_distances(pts, u, v, metric)
-            want = _reduce(pts[u], pts[v], metric, 1)
+            with np.errstate(over="ignore", under="ignore"):
+                got = pair_distances(pts, u, v, metric)
+                want = _reduce(pts[u], pts[v], metric, 1)
             assert got.dtype == np.float64 and got.shape == (m,)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
@@ -211,10 +218,14 @@ def test_pair_distances_memory_bounded():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(400, 192))
     u, v = rng.integers(0, 400, (2, 50_000))
+    # and one of 500k pairs at d = 3, reduced column by column, is 12 MB
+    low = rng.normal(size=(400, 3))
+    a, b = rng.integers(0, 400, (2, 500_000))
     tracemalloc.start()
     try:
         for metric in ALL_METRICS:
             pair_distances(pts, u, v, metric)
+            pair_distances(low, a, b, metric)
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -267,6 +278,54 @@ def test_row_runs_matches_one_full_lexsort():
         want_order, want_starts = lexsort_runs(keys)
         assert order.tolist() == want_order.tolist()
         assert starts.dtype == bool and starts.tolist() == want_starts.tolist()
+
+
+def _edge_order_cases():
+    """(u, v, w) arrays whose (w, u, v) order has ties to break."""
+    rng = np.random.default_rng(13)
+    # lattice weights: many pairs at each of a few distances, and repeated
+    # (u, v, w) triples, whose order only stability decides
+    lattice = np.indices((6, 6, 6)).reshape(3, -1).T.astype(np.float64)
+    u, v = rng.integers(0, len(lattice), (2, 3000))
+    u, v = np.minimum(u, v), np.maximum(u, v)
+    w = pair_distances(lattice, u, v, Metric.L2)
+    cases = {"lattice": (u, v, w),
+             "repeated": (np.tile(u[:50], 3), np.tile(v[:50], 3), np.tile(w[:50], 3))}
+    # a lockstep pass: repetition j's copy of a pair has ids offset by j * n
+    # and the same weight as every other repetition's copy
+    n, reps = 500, 4
+    u, v = rng.integers(0, n, (2, 800))
+    u, v = np.minimum(u, v), np.maximum(u, v) + 1
+    w = rng.integers(0, 5, 800) / 8.0
+    at = rng.permutation(reps * 800)
+    offset = np.repeat(np.arange(reps) * n, 800)
+    cases["lockstep"] = (np.tile(u, reps)[at] + offset[at], np.tile(v, reps)[at] + offset[at],
+                         np.tile(w, reps)[at])
+    # ids near the packing limit: the key times the pair count fits 63
+    # bits, and one more bit does not; ids near the int64 limit
+    for name, bits in (("fits", 28), ("overflows", 29)):
+        u, v = rng.integers(0, 2**bits, (2, 64))
+        u[:2], v[:2] = (0, 2**bits - 1), (0, 2**bits - 1)
+        cases[name] = (u, v, rng.integers(0, 3, 64) / 2.0)
+    top = np.iinfo(np.int64).max
+    cases["int64-top"] = (top - rng.integers(0, 9, 64), top - rng.integers(0, 9, 64),
+                          rng.integers(0, 3, 64) / 2.0)
+    # signed zeros compare equal, so (u, v) decides between them
+    cases["signed-zeros"] = (rng.integers(0, 9, 40), rng.integers(0, 9, 40),
+                             np.where(rng.random(40) < 0.5, -0.0, 0.0))
+    cases["one"] = (np.array([3]), np.array([5]), np.array([1.0]))
+    cases["none"] = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_edge_order_cases()))
+def test_edge_order_equals_lexsort(name):
+    u, v, w = _edge_order_cases()[name]
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    if name in ("fits", "overflows"):
+        spans = (int(u.max()) - int(u.min()) + 1) * (int(v.max()) - int(v.min()) + 1)
+        assert (spans * len(u) < 2**63) == (name == "fits")
+    assert edge_order(u, v, w).tolist() == np.lexsort((v, u, w)).tolist()
 
 
 def test_point_set_validation():

@@ -92,6 +92,30 @@ def test_covering_radius_zero_keeps_lowest_id_per_point():
     assert labels.tolist() == [0, 0, 0]
 
 
+def test_covering_infinite_radius_keeps_lowest_position_per_cell():
+    # a 192-d root covering, as on the JL cycles, keys on the cell alone:
+    # it keeps the lowest position of every cell, the points aside
+    rng = np.random.default_rng(34)
+    pts = rng.normal(size=(300, 192)) * 1e3
+    cells = rng.integers(0, 40, 300)
+    cells[:40] = rng.permutation(40)
+    cover = unitstep._covering(pts, cells, math.inf, Metric.L2)
+    assert sorted(cover.tolist()) == sorted(int(np.flatnonzero(cells == c)[0]) for c in range(40))
+
+
+def test_live_equals_distinct_labels_per_cell():
+    # a cell is live when it holds two components; with no component
+    # across two cells, its lowest and highest labels tell
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        n_cells = int(rng.integers(1, 30))
+        cells = np.concatenate((np.arange(n_cells), rng.integers(0, n_cells, 80)))
+        labels = group_labels(cells * 7 + rng.integers(0, rng.integers(1, 4), len(cells)))
+        _, first = np.unique(labels, return_index=True)
+        want = np.bincount(cells[first], minlength=n_cells) > 1
+        assert unitstep._live(labels, cells).tolist() == want.tolist()
+
+
 def test_unit_step_single_component_no_edges():
     ps = uniform_points(20, 2, seed=8)
     cover, labels, edges = run_step({i: 7 for i in range(20)}, 1.0, 0.25, ps)
