@@ -8,6 +8,12 @@ at most 2^d * n edges and preserves, for every threshold t, the connected
 components of the Hamming-distance-<=t graph; augmenting a spanning forest
 by increasing weight class therefore reproduces an exact Hamming MST.
 Duplicate points link at weight zero through the all-ones mask.
+
+The graph is never built whole. The sorts leave every point's projection
+id under every mask in one 2^d x n table of the narrowest unsigned type
+that holds n - 1, and weight class t reads its links from the rows of
+popcount d - t only when it runs; the classes past the one at which the
+forest spans read nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from .mpc import (
 )
 
 MAX_DIM = 20
-# the mask-id table is refined this many ids at a time, and the links fold
-# once this many new ones have come in
+# the mask-id table is sorted and read this many ids at a time, and a
+# class's links fold once this many new ones have come in
 BLOCK = 1 << 20
 
 
@@ -50,33 +56,83 @@ def _validated_int_points(ps: PointSet) -> tuple[np.ndarray, list]:
     return ranks, sizes
 
 
-def _fold(held: list, n: int, d: int) -> np.ndarray:
-    """The lightest of the packed links (u n + v)(d + 1) + w per pair,
-    ascending."""
-    keys = np.sort(np.concatenate(held))
-    pair = keys // (d + 1)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
-    return keys[first]
+def _fold(held: list) -> np.ndarray:
+    """The distinct packed links of `held`, ascending."""
+    return np.unique(np.concatenate(held))
 
 
-def build_auxiliary_graph(ps: PointSet, cfg: MpcConfig):
-    """All mask-projected sort links, one distributed sort per mask in
-    parallel: consecutive positions inside a run of equal projections, in
-    ascending position order.
+def _mask_ids(ranks: np.ndarray, sizes: list) -> np.ndarray:
+    """The mask-id table: row `mask` holds the dense id of every point's
+    projection on `mask`, in the narrowest unsigned type that holds n - 1.
 
-    The masks are sorted in d array passes. Row `mask` of an int32 table
-    holds the dense id of every point's projection on `mask`; mask 0 is all
-    zeros, and mask 2^j + m refines mask m by column j: its ids are the
-    ranks of (id on m, rank in column j), one stable sort per row, whose
-    equal neighbours are that mask's links. The links fold into the
-    lightest one per pair once 2^20 new ones outnumber the folded ones.
-    Memory is the table's 2^d n 4 bytes and O(2^20 + pairs) for the links,
-    where the raw links would take 24 bytes each.
+    Mask 0 is all zeros, and mask 2^j + m refines mask m by column j: its
+    ids are the ranks of (id on m, rank in column j), one stable sort per
+    row, at most BLOCK // n rows at a time. The keys take the narrowest
+    type that holds them, so keys below 2^16 take numpy's radix sort.
+    """
+    n, d = ranks.shape
+    ids = np.zeros((1 << d, n), dtype=np.min_scalar_type(n - 1))
+    table = ids.reshape(-1)
+    per_block = max(1, BLOCK // n)
+    for j in range(d):
+        key_type = np.min_scalar_type(n * sizes[j] - 1)
+        column = ranks[:, j].astype(key_type)
+        for a in range(0, 1 << j, per_block):
+            b = min(1 << j, a + per_block)
+            keys = ids[a:b].astype(key_type)
+            keys *= sizes[j]
+            keys += column
+            order = np.argsort(keys, axis=1, kind="stable")
+            # positions in the flattened block, row by row
+            order += np.arange(0, (b - a) * n, n)[:, None]
+            ordered = keys.reshape(-1)[order]
+            dense = np.zeros(keys.shape, dtype=ids.dtype)
+            np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
+            table[order + ((1 << j) + a) * n] = dense
+    return ids
 
-    Returns the links as a WeightedEdgeList (the lightest weight per pair)
-    and the trace of the sorts, one phase with a key of popcount(mask)
-    words per mask.
+
+def _class_links(ids: np.ndarray, masks: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The links of the given rows of the mask-id table whose two ends
+    `labels` separates, packed as u n + v, each pair once, ascending.
+
+    A row's links are its equal neighbours in a stable sort of its ids,
+    so u < v; on 8- and 16-bit ids that sort is numpy's radix sort. The
+    rows are read at most BLOCK // n at a time, and the links fold into
+    distinct pairs once BLOCK new ones outnumber the folded ones.
+    """
+    n = ids.shape[1]
+    per_block = max(1, BLOCK // n)
+    held, fresh, folded = [], 0, 0
+    for a in range(0, len(masks), per_block):
+        rows = ids[masks[a:a + per_block]]
+        order = np.argsort(rows, axis=1, kind="stable")
+        ordered = rows.reshape(-1)[order + np.arange(0, rows.size, n)[:, None]]
+        row, at = np.nonzero(ordered[:, 1:] == ordered[:, :-1])
+        u, v = order[row, at], order[row, at + 1]
+        live = labels[u] != labels[v]
+        held.append(u[live] * n + v[live])
+        fresh += len(held[-1])
+        if fresh > max(BLOCK, folded):
+            held = [_fold(held)]
+            fresh, folded = 0, len(held[0])
+    return _fold(held)
+
+
+def hamming_mst(ps: PointSet, cfg: MpcConfig):
+    """Exact Hamming MST: the mask sorts, then weight classes t = 0, 1, ...
+    augment the forest until it spans, each class contracted through a
+    distributed connectivity pass.
+
+    The sorts fill the mask-id table, 2^d n ids of the narrowest type that
+    holds n - 1, and emit no link. Class t reads its links when it runs,
+    from the masks of popcount d - t: a pair whose lightest link is
+    lighter was joined by that lighter class, so the pairs the labels
+    still separate are the class's edges. The classes past the spanning
+    one read nothing.
+
+    Returns the tree and the trace: one sort phase with a key of
+    popcount(mask) words per mask, then each class's connectivity.
     """
     ranks, sizes = _validated_int_points(ps)
     n, d = ranks.shape
@@ -84,58 +140,23 @@ def build_auxiliary_graph(ps: PointSet, cfg: MpcConfig):
     for j in range(d):
         popcount[1 << j:2 << j] = popcount[:1 << j] + 1
     trace = distributed_sort(n, popcount, cfg)
-
-    ids = np.zeros((1 << d, n), dtype=np.int32)
-    pos = np.arange(n - 1, dtype=np.int64)
-    # mask 0 gives every point one and the same key
-    held, fresh, folded = [(pos * n + pos + 1) * (d + 1) + d], n - 1, 0
-    per_block = max(1, BLOCK // n)
-    for j in range(d):
-        for a in range(0, 1 << j, per_block):
-            b = min(1 << j, a + per_block)
-            keys = ids[a:b].astype(np.int64) * sizes[j] + ranks[:, j]
-            # keys below 2^16 take numpy's radix sort
-            keys = keys.astype(np.min_scalar_type(n * sizes[j] - 1))
-            order = np.argsort(keys, axis=1, kind="stable")
-            ordered = np.take_along_axis(keys, order, axis=1)
-            new = ordered[:, 1:] != ordered[:, :-1]
-            dense = np.zeros(keys.shape, dtype=np.int32)
-            np.cumsum(new, axis=1, out=dense[:, 1:])
-            np.put_along_axis(ids[(1 << j) + a:(1 << j) + b], order, dense, axis=1)
-            row, at = np.nonzero(~new)
-            w = d - popcount[(1 << j) + a + row]
-            held.append((order[row, at] * n + order[row, at + 1]) * (d + 1) + w)
-            fresh += len(row)
-            if fresh > max(BLOCK, folded):
-                held = [_fold(held, n, d)]
-                fresh, folded = 0, len(held[0])
-    keys = _fold(held, n, d)
-    pair, w = np.divmod(keys, d + 1)
-    u, v = np.divmod(pair, n)
-    return WeightedEdgeList(n_vertices=n, edges=edge_array(u, v, w.astype(np.float64))), trace
-
-
-def hamming_mst(ps: PointSet, cfg: MpcConfig):
-    """Exact Hamming MST: mask sorts, then weight classes 0..d augment the
-    forest, each class contracted through a distributed connectivity pass."""
-    aux, trace = build_auxiliary_graph(ps, cfg)
-    n, d = ps.n, ps.dim
-    # the edges ascend by (u, v), and every class keeps that order
-    eu, ev, ew = aux.edges["u"], aux.edges["v"], aux.edges["w"]
+    ids = _mask_ids(ranks, sizes)
     labels = np.arange(n, dtype=np.int64)
     tree = [np.empty(0, dtype=EDGE)]
+    # labels are minimum member ids, so the forest spans once all are 0
     for t in range(0, d + 1):
-        cls = np.flatnonzero(ew == t)
-        live = cls[labels[eu[cls]] != labels[ev[cls]]]
-        if not len(live):
+        if not labels.any():
+            break
+        pairs = _class_links(ids, np.flatnonzero(popcount == d - t), labels)
+        if not len(pairs):
             continue
+        eu, ev = np.divmod(pairs, n)
         uniq, inv = np.unique(labels, return_inverse=True)
-        cu, cv = inv[eu[live]], inv[ev[live]]
+        cu, cv = inv[eu], inv[ev]
         taken, _labels, _phases = spanning_forest(cu, cv, len(uniq))
-        tree.append(edge_array(eu[live[taken]], ev[live[taken]], float(t)))
+        tree.append(edge_array(eu[taken], ev[taken], float(t)))
         contracted = WeightedEdgeList.build(len(uniq), edge_array(cu, cv, 0.0))
         cc_labels, tr = connected_components(contracted, cfg)
         trace.add_trace(tr)
         labels = uniq[cc_labels[inv]]
     return SpanningTree(n_vertices=n, edges=np.concatenate(tree)), trace
-

@@ -3,7 +3,7 @@ import pytest
 
 from mpslc import hamming
 from mpslc.core import CapacityError, InputError, Metric, PointSet
-from mpslc.hamming import build_auxiliary_graph, hamming_mst
+from mpslc.hamming import hamming_mst
 from mpslc.hardness import GraphInstance, gen_hamming_points
 from mpslc.mpc import MpcConfig
 from mpslc.oracle import exact_mst, kruskal_edges
@@ -125,6 +125,33 @@ def _auxiliary_reference(ps):
     return [(u, v, float(best[(u, v)])) for u, v in sorted(best)]
 
 
+def auxiliary_graph(ps):
+    """Every weight class's links, read with labels that separate all
+    points, joined and kept at the lightest link per pair: the (u, v, w)
+    arrays ascending by (u, v)."""
+    ranks, sizes = hamming._validated_int_points(ps)
+    n, d = ranks.shape
+    ids = hamming._mask_ids(ranks, sizes)
+    labels = np.arange(n)
+    popcount = np.array([bin(mask).count("1") for mask in range(1 << d)])
+    pairs, weights = [], []
+    for t in range(d + 1):
+        pairs.append(hamming._class_links(ids, np.flatnonzero(popcount == d - t), labels))
+        weights.append(np.full(len(pairs[-1]), t))
+    pair, w = np.concatenate(pairs), np.concatenate(weights)
+    # the classes come lightest first, so a stable sort keeps the lightest
+    order = np.argsort(pair, kind="stable")
+    pair, w = pair[order], w[order]
+    first = np.ones(len(pair), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    u, v = np.divmod(pair[first], n)
+    return u, v, w[first].astype(float)
+
+
+def _edges(graph):
+    return [(int(u), int(v), float(w)) for u, v, w in zip(*graph)]
+
+
 AUX_SHAPES = [(1, 3), (2, 1), (2, 3), (30, 1), (40, 3), (25, 8)]
 # negative values and a span far wider than n
 WIDE = (-7, 0, 5, 10**12)
@@ -141,10 +168,10 @@ def test_auxiliary_graph_matches_sorted_reference(n, d, alphabet):
     if n > 2:
         pts[n // 2:n // 2 + 3] = pts[0]  # exact duplicates
     ps = int_ps(pts)
-    aux, trace = build_auxiliary_graph(ps, CFG)
-    got = [(int(u), int(v), float(w)) for u, v, w in aux.edges]
-    assert got == _auxiliary_reference(ps)
-    assert trace.rounds == 4
+    assert _edges(auxiliary_graph(ps)) == _auxiliary_reference(ps)
+    _tree, trace = hamming_mst(ps, CFG)
+    assert [r.kind for r in trace.per_round].count("sort") == 4
+    assert all(r.kind == "sort" for r in trace.per_round[:4])
 
 
 def _mask_links(pts):
@@ -171,39 +198,97 @@ def _mask_links(pts):
 
 
 def test_auxiliary_graph_folds_many_links(monkeypatch):
-    # about 1.26 M raw links: the links fold before the last mask is sorted
-    pts = np.random.default_rng(71).integers(0, 2, (400, 12)).astype(float)
+    # a small block: the table is sorted 6 rows at a time, and a class's
+    # links fold several times before its last mask is read
+    monkeypatch.setattr(hamming, "BLOCK", 1200)
+    pts = np.random.default_rng(71).integers(0, 2, (200, 8)).astype(float)
     folds = []
 
-    def counted(*args):
-        folds.append(len(args[0]))
+    def counted_links(*args):
+        folds.append(0)
+        return class_links(*args)
+
+    def counted_fold(*args):
+        folds[-1] += 1
         return fold(*args)
 
-    fold = hamming._fold
-    monkeypatch.setattr(hamming, "_fold", counted)
-    aux, _trace = build_auxiliary_graph(int_ps(pts), CFG)
-    raw, u, v, w = _mask_links(pts)
+    class_links, fold = hamming._class_links, hamming._fold
+    monkeypatch.setattr(hamming, "_class_links", counted_links)
+    monkeypatch.setattr(hamming, "_fold", counted_fold)
+    u, v, w = auxiliary_graph(int_ps(pts))
+    raw, want_u, want_v, want_w = _mask_links(pts)
     assert raw > hamming.BLOCK
-    assert len(folds) > 1
-    assert np.array_equal(aux.edges["u"], u)
-    assert np.array_equal(aux.edges["v"], v)
-    assert np.array_equal(aux.edges["w"], w)
+    # every class's last fold is its result; some class folded twice before
+    assert len(folds) == 9 and max(folds) > 2
+    assert np.array_equal(u, want_u)
+    assert np.array_equal(v, want_v)
+    assert np.array_equal(w, want_w)
+
+
+@pytest.mark.parametrize("rows,classes", [
+    pytest.param([[0, 0, 0], [1, 1, 1]], [0, 1, 2, 3], id="spans-at-d"),
+    # class 1 links only the duplicates, which class 0 joined
+    pytest.param([[0, 0], [0, 0], [5, 5]], [0, 1, 2], id="joined-class"),
+    pytest.param([[2, 2, 2]] * 5, [0], id="duplicates"),
+    pytest.param([[4, 1]], [], id="one-point"),
+    pytest.param(np.random.default_rng(73).integers(0, 3, (300, 8)), None, id="random"),
+])
+def test_no_class_past_the_spanning_one_is_linked(monkeypatch, rows, classes):
+    ps = int_ps(rows)
+    read = []
+
+    def recorded(ids, masks, labels):
+        popcount = {bin(int(m)).count("1") for m in masks}
+        assert len(popcount) == 1
+        read.append(ps.dim - popcount.pop())
+        return class_links(ids, masks, labels)
+
+    class_links = hamming._class_links
+    monkeypatch.setattr(hamming, "_class_links", recorded)
+    tree, trace = hamming_mst(ps, CFG)
+    heaviest = int(max((w for _, _, w in tree.edges), default=-1))
+    assert read == list(range(heaviest + 1))
+    # a class runs its connectivity pass only if it joins something
+    passes = {r.segment for r in trace.per_round if r.kind == "connectivity"}
+    assert len(passes) == len({w for _, _, w in tree.edges})
+    if classes is not None:
+        assert read == classes
+    else:
+        assert 0 < heaviest < ps.dim
+
+
+@pytest.mark.parametrize("n,d,alphabet,id_type", [
+    (256, 3, 7, np.uint8), (257, 3, 7, np.uint16),
+    (65536, 2, 40, np.uint16), (65537, 2, 40, np.uint32)])
+def test_mask_id_type_boundaries(n, d, alphabet, id_type):
+    pts = np.random.default_rng(74 + n).integers(0, alphabet, (n, d)).astype(float)
+    ps = int_ps(pts)
+    ids = hamming._mask_ids(*hamming._validated_int_points(ps))
+    assert ids.dtype == id_type
+    for mask in range(1, 1 << d):
+        cols = [j for j in range(d) if (mask >> j) & 1]
+        want = np.unique(pts[:, cols], axis=0, return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(ids[mask], want)
+    _raw, u, v, w = _mask_links(pts)
+    tree, _trace = hamming_mst(ps, CFG)
+    assert list(tree.edges) == kruskal_edges(n, zip(u.tolist(), v.tolist(), w.tolist()))
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_auxiliary_trace_is_one_sort_per_mask(d):
     ps = int_ps(np.random.default_rng(72 + d).integers(0, 3, (40, d)))
     cfg = MpcConfig(space_s=600)
-    _aux, trace = build_auxiliary_graph(ps, cfg)
+    _tree, trace = hamming_mst(ps, cfg)
     want = overlay_sorts(ps.n, [bin(mask).count("1") for mask in range(1 << d)], cfg)
-    assert trace.per_round == want
+    assert trace.per_round[:4] == want
+    assert all(r.kind == "connectivity" for r in trace.per_round[4:])
 
 
 def test_auxiliary_small_budget_refuses_first_sort():
     # mask 0 fits in s = 20 words; mask 1's key word does not
     ps = int_ps(np.random.default_rng(5).integers(0, 3, (30, 3)))
     with pytest.raises(CapacityError) as err:
-        build_auxiliary_graph(ps, MpcConfig(space_s=20))
+        hamming_mst(ps, MpcConfig(space_s=20))
     assert str(err.value) == "sort of 30 items needs 24 words on one machine, budget allows 20"
 
 
@@ -217,7 +302,7 @@ def test_huge_integer_coordinates_are_exact():
 
 def test_auxiliary_path_property():
     ps = integer_points(60, 3, seed=60)
-    aux, _ = build_auxiliary_graph(ps, CFG)
+    aux = _edges(auxiliary_graph(ps))
     pts = ps.points.astype(np.int64)
     n = ps.n
     for t in range(0, ps.dim + 1):
@@ -229,7 +314,7 @@ def test_auxiliary_path_property():
                 x = parent[x]
             return x
 
-        for u, v, w in aux.edges:
+        for u, v, w in aux:
             if w <= t:
                 parent[find(u)] = find(v)
         for i in range(n):
@@ -240,7 +325,7 @@ def test_auxiliary_path_property():
 
 def test_auxiliary_threshold_components_match_distance_graph():
     ps = integer_points(60, 3, seed=61)
-    aux, _ = build_auxiliary_graph(ps, CFG)
+    aux = _edges(auxiliary_graph(ps))
     pts = ps.points.astype(np.int64)
     n = ps.n
     for t in range(1, ps.dim + 1):
@@ -257,7 +342,7 @@ def test_auxiliary_threshold_components_match_distance_graph():
                 parent[find(u)] = find(v)
             return [find(i) for i in range(n)]
 
-        aux_comp = comps([(u, v) for u, v, w in aux.edges if w <= t])
+        aux_comp = comps([(u, v) for u, v, w in aux if w <= t])
         dist_comp = comps([(i, j) for i in range(n) for j in range(i + 1, n)
                            if (pts[i] != pts[j]).sum() <= t])
         groups = {}

@@ -20,9 +20,16 @@ and 6 under l1 and l2, and jl-d192.
     PYTHONPATH=src python tools/roots.py int-d3 --metric l1
 
 `--grid-max-dim` sets `unitstep.GRID_MAX_DIM` in the child process only,
-to time the bucket grid against the Gram bounds at one dimension. The
-tree hash is the first 16 hex digits of a SHA-256 over the edge records.
-This script is not part of the test suite.
+to time the bucket grid against the Gram bounds at one dimension.
+`--runs k` runs each case k times, each in a fresh process, and prints
+the median wall (`wall_s`), the minimum (`wall_min_s`) and the largest
+peak memory; it fails if the tree hash or the pair-distance count
+differs between the runs:
+
+    PYTHONPATH=src python tools/roots.py l1-d6 l2-d6 --runs 5
+
+The tree hash is the first 16 hex digits of a SHA-256 over the edge
+records. This script is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ import hashlib
 import json
 import re
 import resource
-import subprocess
 import sys
 import time
+
+from fresh import repeated
 
 CASES = [f"{metric}-d{dim}" for dim in (3, 5, 6) for metric in ("l1", "l2")] + ["jl-d192"]
 CASE = re.compile(r"(l1|l2|linf|jl|int)-d([1-9][0-9]*)")
@@ -99,6 +107,8 @@ def main(argv=None) -> int:
     p.add_argument("--grid-max-dim", type=int)
     p.add_argument("--metric", choices=("l1", "l2", "linf"), default="l2",
                    help="metric of the int cases (default l2)")
+    p.add_argument("--runs", type=int, default=1,
+                   help="fresh processes per case (default 1)")
     p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     unknown = [case for case in args.cases if not CASE.fullmatch(case)]
@@ -106,6 +116,8 @@ def main(argv=None) -> int:
         p.error(f"unknown cases: {', '.join(unknown)}")
     if args.n is not None and args.n < 2:
         p.error("--n must be at least 2")
+    if args.runs < 1:
+        p.error("--runs must be at least 1")
     if args.child:
         print(json.dumps(run_case(args.cases[0], args.n, args.grid_max_dim, args.metric)))
         return 0
@@ -115,8 +127,7 @@ def main(argv=None) -> int:
                "--child"]
         if args.grid_max_dim is not None:
             cmd += ["--grid-max-dim", str(args.grid_max_dim)]
-        out = subprocess.run(cmd, check=True, capture_output=True, text=True)
-        print(out.stdout.strip(), flush=True)
+        print(json.dumps(repeated(cmd, args.runs, ("tree", "pair_distances"))), flush=True)
     return 0
 
 

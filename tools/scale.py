@@ -14,11 +14,18 @@ default word budget:
 A `hamming-d<dim>` case times `hamming_mst` instead, under
 `MpcConfig.auto`, on n points uniform in {0, 1, 2}^dim (numpy seed 7).
 Unless `--n` is given, n is 2000 up to dim 12, 200 up to dim 16 and 40
-above.
+above. Its line also gives `oracle_s`, the seconds `oracle.exact_mst`
+(dense Prim) takes on the same points after the timed run, or null
+above the oracle's cap; the peak memory is read before it runs.
+
+`--runs k` runs each case k times, each in a fresh process, and prints
+the median wall (`wall_s`), the minimum (`wall_min_s`), likewise for
+`oracle_s`, and the largest peak memory; it fails if the tree hash or
+the round count differs between the runs.
 
     PYTHONPATH=src python tools/scale.py
     PYTHONPATH=src python tools/scale.py practical-1rep --n 1000000
-    PYTHONPATH=src python tools/scale.py hamming-d12 hamming-d16 hamming-d20
+    PYTHONPATH=src python tools/scale.py hamming-d12 hamming-d16 hamming-d20 --runs 5
 
 The tree hash is the first 16 hex digits of a SHA-256 over the tree's
 edge records. This script is not part of the test suite.
@@ -30,9 +37,10 @@ import argparse
 import hashlib
 import json
 import resource
-import subprocess
 import sys
 import time
+
+from fresh import repeated
 
 # case: (c1 = c2, repetitions or None for the default)
 CASES = {
@@ -59,6 +67,7 @@ def run_case(case: str, n: int) -> dict:
     """One pipeline run in this process, timed."""
     import numpy as np
 
+    from mpslc import oracle
     from mpslc.core import Metric, PointSet, Seed
     from mpslc.hamming import hamming_mst
     from mpslc.mpc import MpcConfig, edge_records
@@ -81,11 +90,18 @@ def run_case(case: str, n: int) -> dict:
         start = time.perf_counter()
         tree, trace = hamming_mst(ps, MpcConfig.auto(n, dim))
     wall = time.perf_counter() - start
-    return {"case": case, "n": n, **about,
-            "wall_s": round(wall, 3),
-            "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-            "rounds": trace.rounds,
-            "tree": hashlib.sha256(edge_records(tree.edges).tobytes()).hexdigest()[:16]}
+    record = {"case": case, "n": n, **about,
+              "wall_s": round(wall, 3),
+              "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+              "rounds": trace.rounds,
+              "tree": hashlib.sha256(edge_records(tree.edges).tobytes()).hexdigest()[:16]}
+    if dim is not None:
+        record["oracle_s"] = None
+        if n <= oracle.DENSE_CAP:
+            start = time.perf_counter()
+            oracle.exact_mst(ps)
+            record["oracle_s"] = round(time.perf_counter() - start, 3)
+    return record
 
 
 def main(argv=None) -> int:
@@ -94,6 +110,8 @@ def main(argv=None) -> int:
                    help=", ".join(CASES) + " or hamming-d<dim>, dim 1 to 20")
     p.add_argument("--n", type=int, help="points per case (default 100000, or per "
                    "dimension for hamming-d<dim>)")
+    p.add_argument("--runs", type=int, default=1,
+                   help="fresh processes per case (default 1)")
     p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     unknown = [case for case in args.cases
@@ -102,14 +120,15 @@ def main(argv=None) -> int:
         p.error(f"unknown cases: {', '.join(unknown)}")
     if args.n is not None and args.n < 2:
         p.error("--n must be at least 2")
+    if args.runs < 1:
+        p.error("--runs must be at least 1")
     if args.child:
         print(json.dumps(run_case(args.cases[0], args.n)))
         return 0
     for case in args.cases:
         n = default_n(case) if args.n is None else args.n
         cmd = [sys.executable, __file__, case, "--n", str(n), "--child"]
-        out = subprocess.run(cmd, check=True, capture_output=True, text=True)
-        print(out.stdout.strip(), flush=True)
+        print(json.dumps(repeated(cmd, args.runs, ("tree", "rounds"))), flush=True)
     return 0
 
 
