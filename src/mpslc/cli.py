@@ -148,6 +148,12 @@ def _objective_json(value: float):
 
 def _build_tree(ps: PointSet, eta: float, seed: Seed, repetitions: int | None,
                 space_s: int | None):
+    """The tree and trace of `ps`; eta must lie in (0, inf) on every path,
+    the exact Hamming one included, and is checked before the build."""
+    if not eta > 0:
+        raise InputError(f"eta = {eta:g} must be positive")
+    if eta == math.inf:
+        raise InputError("eta = inf must be finite")
     if space_s is not None:
         mpc = MpcConfig(space_s=space_s)
     else:

@@ -9,14 +9,17 @@ components of the Hamming-distance-<=t graph; augmenting a spanning forest
 by increasing weight class therefore reproduces an exact Hamming MST.
 Duplicate points link at weight zero through the all-ones mask.
 
-The graph is never built whole. The sorts leave every point's projection
-id under every mask in one 2^d x n table of the narrowest unsigned type
-that holds n - 1, and weight class t reads its links from the rows of
-popcount d - t only when it runs; the classes past the one at which the
-forest spans read nothing.
+The graph is never built whole. The trace accounts all 2^d mask sorts in
+one phase, as the MPC algorithm runs them; the simulation keys and sorts
+a mask from the column ranks only when its weight class runs, and the
+classes past the one at which the forest spans sort nothing. Memory is
+O(BLOCK + n d) beside the 2^d popcount table.
 """
 
 from __future__ import annotations
+
+import heapq
+import math
 
 import numpy as np
 
@@ -32,8 +35,8 @@ from .mpc import (
 )
 
 MAX_DIM = 20
-# the mask-id table is sorted and read this many ids at a time, and a
-# class's links fold once this many new ones have come in
+# a class keys and sorts its masks this many keys at a time, and its
+# links fold once this many new ones have come in
 BLOCK = 1 << 20
 
 
@@ -57,59 +60,56 @@ def _validated_int_points(ps: PointSet) -> tuple[np.ndarray, list]:
 
 
 def _fold(held: list) -> np.ndarray:
-    """The distinct packed links of `held`, ascending."""
-    return np.unique(np.concatenate(held))
+    """The distinct packed links of `held`, ascending, by a sort and a
+    neighbour compare (numpy's plain `unique` hashes, far slower here)."""
+    links = np.sort(np.concatenate(held))
+    return links[np.diff(links, prepend=-1) != 0]
 
 
-def _mask_ids(ranks: np.ndarray, sizes: list) -> np.ndarray:
-    """The mask-id table: row `mask` holds the dense id of every point's
-    projection on `mask`, in the narrowest unsigned type that holds n - 1.
+def _class_links(ranks: np.ndarray, sizes: list, masks: np.ndarray,
+                 labels: np.ndarray) -> np.ndarray:
+    """The links of the given masks whose two ends `labels` separates,
+    packed as u n + v, each pair once, ascending.
 
-    Mask 0 is all zeros, and mask 2^j + m refines mask m by column j: its
-    ids are the ranks of (id on m, rank in column j), one stable sort per
-    row, at most BLOCK // n rows at a time. The keys take the narrowest
-    type that holds them, so keys below 2^16 take numpy's radix sort.
+    The masks are keyed at most BLOCK // n at a time. A mask's key packs
+    the ranks of its columns by mixed radix, one product of place values
+    and ranks; shifted left by the bits of n - 1, with the position in the
+    low bits, one plain sort per mask puts equal projections side by side
+    in position order, so the links are the equal neighbours and u < v.
+    One rule covers huge alphabets: if the block's widest key, the product
+    of its popcount largest column sizes, does not fit in the bits left,
+    the columns are packed in runs, each as long as n times its widest key
+    stays within 2^63 and led by the dense id of the runs before it, and
+    the last dense id is the key. The links fold into distinct pairs once
+    BLOCK new ones outnumber the folded ones.
     """
     n, d = ranks.shape
-    ids = np.zeros((1 << d, n), dtype=np.min_scalar_type(n - 1))
-    table = ids.reshape(-1)
-    per_block = max(1, BLOCK // n)
-    for j in range(d):
-        key_type = np.min_scalar_type(n * sizes[j] - 1)
-        column = ranks[:, j].astype(key_type)
-        for a in range(0, 1 << j, per_block):
-            b = min(1 << j, a + per_block)
-            keys = ids[a:b].astype(key_type)
-            keys *= sizes[j]
-            keys += column
-            order = np.argsort(keys, axis=1, kind="stable")
-            # positions in the flattened block, row by row
-            order += np.arange(0, (b - a) * n, n)[:, None]
-            ordered = keys.reshape(-1)[order]
-            dense = np.zeros(keys.shape, dtype=ids.dtype)
-            np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
-            table[order + ((1 << j) + a) * n] = dense
-    return ids
-
-
-def _class_links(ids: np.ndarray, masks: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The links of the given rows of the mask-id table whose two ends
-    `labels` separates, packed as u n + v, each pair once, ascending.
-
-    A row's links are its equal neighbours in a stable sort of its ids,
-    so u < v; on 8- and 16-bit ids that sort is numpy's radix sort. The
-    rows are read at most BLOCK // n at a time, and the links fold into
-    distinct pairs once BLOCK new ones outnumber the folded ones.
-    """
-    n = ids.shape[1]
+    shift = (n - 1).bit_length()
     per_block = max(1, BLOCK // n)
     held, fresh, folded = [], 0, 0
     for a in range(0, len(masks), per_block):
-        rows = ids[masks[a:a + per_block]]
-        order = np.argsort(rows, axis=1, kind="stable")
-        ordered = rows.reshape(-1)[order + np.arange(0, rows.size, n)[:, None]]
-        row, at = np.nonzero(ordered[:, 1:] == ordered[:, :-1])
-        u, v = order[row, at], order[row, at + 1]
+        bits = masks[a:a + per_block, None] >> np.arange(d) & 1
+        popcount = int(bits.sum(axis=1).max())
+        wide, cuts = math.prod(heapq.nlargest(popcount, sizes)) << shift > 1 << 63, [0]
+        for j in range(1, d if wide else 0):
+            if n * math.prod(heapq.nlargest(popcount, sizes[cuts[-1]:j + 1])) > 1 << 63:
+                cuts.append(j)
+        radix = np.where(bits, sizes, 1)
+        keys = 0
+        for lo, hi in zip(cuts, cuts[1:] + [d]):
+            place = np.cumprod(radix[:, lo:hi], axis=1)
+            digits = place // radix[:, lo:hi] * bits[:, lo:hi]
+            keys = keys * place[:, -1:] + digits @ ranks[:, lo:hi].T
+            if wide:
+                order = np.argsort(keys, axis=1)
+                ordered = np.take_along_axis(keys, order, axis=1)
+                dense = np.zeros_like(keys)
+                np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
+                np.put_along_axis(keys, order, dense, axis=1)
+        keys = keys << shift | np.arange(n)
+        keys.sort(axis=1)
+        same = (keys[:, 1:] ^ keys[:, :-1]) < 1 << shift
+        u, v = keys[:, :-1][same] & (1 << shift) - 1, keys[:, 1:][same] & (1 << shift) - 1
         live = labels[u] != labels[v]
         held.append(u[live] * n + v[live])
         fresh += len(held[-1])
@@ -124,12 +124,11 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
     augment the forest until it spans, each class contracted through a
     distributed connectivity pass.
 
-    The sorts fill the mask-id table, 2^d n ids of the narrowest type that
-    holds n - 1, and emit no link. Class t reads its links when it runs,
-    from the masks of popcount d - t: a pair whose lightest link is
-    lighter was joined by that lighter class, so the pairs the labels
-    still separate are the class's edges. The classes past the spanning
-    one read nothing.
+    The trace accounts every mask sort before any class runs, but class t
+    keys and sorts the masks of popcount d - t only when it runs: a pair
+    whose lightest link is lighter was joined by that lighter class, so
+    the pairs the labels still separate are the class's edges. The
+    classes past the spanning one sort nothing.
 
     Returns the tree and the trace: one sort phase with a key of
     popcount(mask) words per mask, then each class's connectivity.
@@ -140,14 +139,13 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
     for j in range(d):
         popcount[1 << j:2 << j] = popcount[:1 << j] + 1
     trace = distributed_sort(n, popcount, cfg)
-    ids = _mask_ids(ranks, sizes)
     labels = np.arange(n, dtype=np.int64)
     tree = [np.empty(0, dtype=EDGE)]
     # labels are minimum member ids, so the forest spans once all are 0
     for t in range(0, d + 1):
         if not labels.any():
             break
-        pairs = _class_links(ids, np.flatnonzero(popcount == d - t), labels)
+        pairs = _class_links(ranks, sizes, np.flatnonzero(popcount == d - t), labels)
         if not len(pairs):
             continue
         eu, ev = np.divmod(pairs, n)

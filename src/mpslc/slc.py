@@ -313,7 +313,10 @@ class EdgeReport:
 
 def verify_per_edge_guarantee(approx: SpanningTree, exact: SpanningTree,
                               eta: float) -> EdgeReport:
-    """Check exact_i <= approx_i <= (1+eta) * exact_i for every sorted index."""
+    """Check exact_i <= approx_i <= (1+eta) * exact_i for every sorted index;
+    eta must be non-negative and finite."""
+    if not 0 <= eta < math.inf:
+        raise InputError(f"eta = {eta:g} must be non-negative and finite")
     if approx.n_vertices != exact.n_vertices or len(approx.edges) != len(exact.edges):
         raise InputError("trees must span the same point set")
     wa = approx.sorted_weights()

@@ -297,6 +297,22 @@ def test_cli_eta_nan_names_eta(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: eta = nan must be positive")
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "trace-dump"])
+@pytest.mark.parametrize("eta,message", [
+    ("-1", "eta = -1 must be positive"), ("nan", "eta = nan must be positive"),
+    ("0", "eta = 0 must be positive"), ("inf", "eta = inf must be finite")])
+def test_cli_refuses_eta_on_the_hamming_path(monkeypatch, tmp_path, capsys, command, eta, message):
+    # the exact Hamming tree never reads eta, but eta is checked before any
+    # tree is built, as on the grid path
+    def build(*args):
+        raise AssertionError("the tree was built before eta was checked")
+
+    monkeypatch.setattr(cli, "hamming_mst", build)
+    argv = [command, "--input", _write_hamming(tmp_path), "--metric", "l0", "--eta", eta]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 # an output path in a directory that does not exist
 NO_DIR = "{tmp}/missing/out"
 
@@ -315,6 +331,8 @@ BAD_INPUTS = {
     "xi-inf": ["gen", "--xi", "inf", "--jl-eps", "0.5"],
     "hamming-n-negative": ["gen-hardness", "--kind", "hamming", "--n", "-3"],
     "l0-space-s-20": ["l0", "--metric", "l0", "--k", "2", "--space-s", "20"],
+    "l0-eta-nan": ["l0", "--metric", "l0", "--k", "2", "--eta", "nan"],
+    "l0-eta-negative": ["l0", "--metric", "l0", "--k", "2", "--eta", "-1"],
     "run-out-no-dir": ["run", "--out", NO_DIR],
     "run-curve-no-dir": ["run", "--curve", NO_DIR],
     "trace-dump-out-no-dir": ["trace-dump", "--out", NO_DIR],

@@ -131,12 +131,12 @@ def auxiliary_graph(ps):
     arrays ascending by (u, v)."""
     ranks, sizes = hamming._validated_int_points(ps)
     n, d = ranks.shape
-    ids = hamming._mask_ids(ranks, sizes)
     labels = np.arange(n)
     popcount = np.array([bin(mask).count("1") for mask in range(1 << d)])
     pairs, weights = [], []
     for t in range(d + 1):
-        pairs.append(hamming._class_links(ids, np.flatnonzero(popcount == d - t), labels))
+        pairs.append(hamming._class_links(ranks, sizes, np.flatnonzero(popcount == d - t),
+                                           labels))
         weights.append(np.full(len(pairs[-1]), t))
     pair, w = np.concatenate(pairs), np.concatenate(weights)
     # the classes come lightest first, so a stable sort keeps the lightest
@@ -174,12 +174,13 @@ def test_auxiliary_graph_matches_sorted_reference(n, d, alphabet):
     assert all(r.kind == "sort" for r in trace.per_round[:4])
 
 
-def _mask_links(pts):
-    """Every mask's links, from np.unique row ids of its projection: the
-    raw link count and the lightest link per pair, ascending by (u, v)."""
+def _mask_links(pts, masks=None):
+    """Every mask's links, or those of `masks`, from np.unique row ids of
+    its projection: the raw link count and the lightest link per pair,
+    ascending by (u, v)."""
     n, d = pts.shape
     us, vs, ws = [], [], []
-    for mask in range(1 << d):
+    for mask in range(1 << d) if masks is None else masks:
         cols = [j for j in range(d) if (mask >> j) & 1]
         row_ids = np.zeros(n, dtype=np.int64)
         if cols:
@@ -198,8 +199,8 @@ def _mask_links(pts):
 
 
 def test_auxiliary_graph_folds_many_links(monkeypatch):
-    # a small block: the table is sorted 6 rows at a time, and a class's
-    # links fold several times before its last mask is read
+    # a small block: the masks are keyed 6 at a time, and a class's links
+    # fold several times before its last mask is read
     monkeypatch.setattr(hamming, "BLOCK", 1200)
     pts = np.random.default_rng(71).integers(0, 2, (200, 8)).astype(float)
     folds = []
@@ -237,11 +238,11 @@ def test_no_class_past_the_spanning_one_is_linked(monkeypatch, rows, classes):
     ps = int_ps(rows)
     read = []
 
-    def recorded(ids, masks, labels):
+    def recorded(ranks, sizes, masks, labels):
         popcount = {bin(int(m)).count("1") for m in masks}
         assert len(popcount) == 1
         read.append(ps.dim - popcount.pop())
-        return class_links(ids, masks, labels)
+        return class_links(ranks, sizes, masks, labels)
 
     class_links = hamming._class_links
     monkeypatch.setattr(hamming, "_class_links", recorded)
@@ -257,21 +258,74 @@ def test_no_class_past_the_spanning_one_is_linked(monkeypatch, rows, classes):
         assert 0 < heaviest < ps.dim
 
 
-@pytest.mark.parametrize("n,d,alphabet,id_type", [
-    (256, 3, 7, np.uint8), (257, 3, 7, np.uint16),
-    (65536, 2, 40, np.uint16), (65537, 2, 40, np.uint32)])
-def test_mask_id_type_boundaries(n, d, alphabet, id_type):
-    pts = np.random.default_rng(74 + n).integers(0, alphabet, (n, d)).astype(float)
+def _columns(n, d, values):
+    """n points whose column j holds exactly values[j] distinct values:
+    n - 15 shuffled rows, then exact copies of 5 of them and copies of 10
+    more that differ in one column."""
+    rng = np.random.default_rng(74 + n + d)
+    base = np.stack([rng.permutation(np.arange(n - 15) % k) for k in values], axis=1)
+    near, row, col = base[5:15].copy(), np.arange(10), rng.integers(0, d, 10)
+    near[row, col] = (near[row, col] + 1) % np.take(values, col)
+    return np.concatenate([base, base[:5], near]).astype(float)
+
+
+@pytest.mark.parametrize("n,d,values,wide", [
+    # the position digit takes 8, 9, 16 and 17 bits
+    pytest.param(256, 3, [7] * 3, False, id="n256"),
+    pytest.param(257, 3, [7] * 3, False, id="n257"),
+    pytest.param(65536, 2, [40] * 2, False, id="n65536"),
+    pytest.param(65537, 2, [40] * 2, False, id="n65537"),
+    # class 0's widest key, 32^11 = 2^55, fills the 55 bits beside 8
+    # position bits; with 33 values in one column it does not fit, and the
+    # key is the dense id over runs of columns 0-9 and 10
+    pytest.param(256, 11, [32] * 11, False, id="fits"),
+    pytest.param(256, 11, [33] + [32] * 10, True, id="two-runs"),
+    # 24 * 32^10 does not fit beside 9 position bits, but 257 times it
+    # fits in 2^63: one run, then its dense id
+    pytest.param(257, 11, [24] + [32] * 10, True, id="one-run-dense"),
+    # about n values per column: classes 0 and 1 take runs of 7 and 2 columns
+    pytest.param(200, 9, [185] * 9, True, id="n-values")])
+def test_key_packing_boundaries(monkeypatch, n, d, values, wide):
+    pts = _columns(n, d, values)
     ps = int_ps(pts)
-    ids = hamming._mask_ids(*hamming._validated_int_points(ps))
-    assert ids.dtype == id_type
-    for mask in range(1, 1 << d):
-        cols = [j for j in range(d) if (mask >> j) & 1]
-        want = np.unique(pts[:, cols], axis=0, return_inverse=True)[1].reshape(-1)
-        assert np.array_equal(ids[mask], want)
-    _raw, u, v, w = _mask_links(pts)
+    assert hamming._validated_int_points(ps)[1] == values
+    _raw, want_u, want_v, want_w = _mask_links(pts)
+    # only a key too wide for the position digit takes dense ids
+    dense_ids, put = [], np.put_along_axis
+
+    def counted_put(*args, **kwargs):
+        dense_ids.append(0)
+        return put(*args, **kwargs)
+
+    monkeypatch.setattr(np, "put_along_axis", counted_put)
+    u, v, w = auxiliary_graph(ps)
+    assert np.array_equal(u, want_u)
+    assert np.array_equal(v, want_v)
+    assert np.array_equal(w, want_w)
     tree, _trace = hamming_mst(ps, CFG)
-    assert list(tree.edges) == kruskal_edges(n, zip(u.tolist(), v.tolist(), w.tolist()))
+    want = kruskal_edges(n, zip(want_u.tolist(), want_v.tolist(), want_w.tolist()))
+    assert list(tree.edges) == want
+    assert bool(dense_ids) == wide
+
+
+def test_wide_key_runs_stay_within_64_bits():
+    # 14 columns of 256 values at n = 561: a run holds 6 columns, as 561
+    # times 256^7 passes 2^63. Rows 0-299 differ in columns 0-6 and agree
+    # on columns 7-13, so a run of columns 7-13 led by the dense id of
+    # columns 0-6 would wrap and link rows whose ids differ by 256.
+    n, d = 561, 14
+    pts = np.zeros((n, d), dtype=np.int64)
+    pts[:300, :7] = np.random.default_rng(75).integers(0, 256, (300, 7))
+    pts[300:556] = np.arange(256)[:, None]
+    pts[556:] = pts[:5]
+    ps = int_ps(pts)
+    ranks, sizes = hamming._validated_int_points(ps)
+    assert sizes == [256] * d
+    masks = np.array([(1 << d) - 1] + [(1 << d) - 1 - (1 << j) for j in range(d)])
+    for class_masks in masks[:1], masks[1:]:
+        got = hamming._class_links(ranks, sizes, class_masks, np.arange(n))
+        _raw, u, v, _w = _mask_links(pts, class_masks)
+        assert np.array_equal(got, u * n + v)
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])

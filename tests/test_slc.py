@@ -290,6 +290,14 @@ def test_verify_identical_trees():
     assert report.max_ratio == 1.0
 
 
+@pytest.mark.parametrize("eta", [-0.5, math.nan, math.inf])
+def test_verify_refuses_negative_or_non_finite_eta(eta):
+    tree = exact_mst(uniform_points(10, 2, seed=80))
+    with pytest.raises(InputError, match="must be non-negative and finite"):
+        verify_per_edge_guarantee(tree, tree, eta)
+    assert verify_per_edge_guarantee(tree, tree, 0.0).ok
+
+
 def test_verify_per_index_band():
     exact = SpanningTree(n_vertices=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)))
     approx = SpanningTree(n_vertices=4, edges=((0, 1, 1.0), (1, 2, 1.4), (2, 3, 2.0)))
