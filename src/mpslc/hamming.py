@@ -148,12 +148,15 @@ def hamming_mst(ps: PointSet, cfg: MpcConfig):
         pairs = _class_links(ranks, sizes, np.flatnonzero(popcount == d - t), labels)
         if not len(pairs):
             continue
-        eu, ev = np.divmod(pairs, n)
         uniq, inv = np.unique(labels, return_inverse=True)
-        cu, cv = inv[eu], inv[ev]
-        taken, _labels, _phases = spanning_forest(cu, cv, len(uniq))
-        tree.append(edge_array(eu[taken], ev[taken], float(t)))
-        contracted = WeightedEdgeList.build(len(uniq), edge_array(cu, cv, 0.0))
+        k = len(uniq)
+        cu, cv = inv[pairs // n], inv[pairs % n]
+        # Kruskal in packed order takes only a component pair's first link
+        pair, first = np.unique(np.minimum(cu, cv) * k + np.maximum(cu, cv), return_index=True)
+        first.sort()
+        taken, _labels, _phases = spanning_forest(cu[first], cv[first], k)
+        tree.append(edge_array(*np.divmod(pairs[first[taken]], n), float(t)))
+        contracted = WeightedEdgeList(k, edge_array(*np.divmod(pair, k), 0.0))
         cc_labels, tr = connected_components(contracted, cfg)
         trace.add_trace(tr)
         labels = uniq[cc_labels[inv]]

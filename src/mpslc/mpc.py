@@ -162,30 +162,35 @@ class WeightedEdgeList:
         return cls(n_vertices=n_vertices, edges=edge_array(u[first], v[first], w[first]))
 
 
-@dataclass(frozen=True)
 class SpanningTree:
-    """Acyclic edge set spanning each connected component of its vertex set."""
+    """Acyclic edge set spanning each connected component of its vertex
+    set, kept as the read-only EDGE array `records`: u < v, (w, u, v) order."""
 
-    n_vertices: int
-    edges: tuple
-
-    def __post_init__(self):
-        edges = edge_records(self.edges)
+    def __init__(self, n_vertices: int, edges):
+        edges = edge_records(edges)
         u, v = np.sort((edges["u"], edges["v"]), axis=0)
-        _refuse(u, v, (u < 0) | (v >= self.n_vertices),
-                f"leaves the vertex range [0, {self.n_vertices})")
-        taken, _labels, _phases = spanning_forest(u, v, self.n_vertices)
+        _refuse(u, v, (u < 0) | (v >= n_vertices),
+                f"leaves the vertex range [0, {n_vertices})")
+        taken, _labels, _phases = spanning_forest(u, v, n_vertices)
         _refuse(u, v, ~np.isin(np.arange(len(u)), taken), "closes a cycle")
         order = edge_order(u, v, edges["w"])
-        edges = edge_array(u[order], v[order], edges["w"][order])
-        object.__setattr__(self, "edges", tuple(edges.tolist()))
+        self.n_vertices = n_vertices
+        self.records = edge_array(u[order], v[order], edges["w"][order])
+        self.records.flags.writeable = False
+
+    @property
+    def edges(self) -> tuple:
+        """The records as (u, v, w) tuples: the view `bench/` and the tests
+        read. It goes once the bench's `check_tree` and `_digest` read
+        `records`."""
+        return tuple(self.records.tolist())
 
     @property
     def n_components(self) -> int:
-        return self.n_vertices - len(self.edges)
+        return self.n_vertices - len(self.records)
 
     def sorted_weights(self) -> np.ndarray:
-        return np.asarray([w for _, _, w in self.edges], dtype=np.float64)
+        return self.records["w"].copy()
 
 
 def run_level(sizes, cfg: MpcConfig) -> RoundStats:

@@ -51,7 +51,6 @@ from .mpc import (
     WeightedEdgeList,
     boruvka_mst,
     edge_array,
-    edge_records,
     run_level,
     spread,
 )
@@ -290,8 +289,8 @@ def k_slc_from_mst(tree: SpanningTree, k: int, ps: PointSet) -> Clustering:
         raise InputError("tree must span the point set")
     if not 1 <= k <= n:
         raise InputError(f"k must lie in [1, {n}]")
-    objective = math.inf if k == 1 else float(tree.edges[n - k][2])
-    keep = edge_records(tree.edges[: n - k])
+    objective = math.inf if k == 1 else float(tree.records["w"][n - k])
+    keep = tree.records[: n - k]
     _taken, roots, _phases = spanning_forest(keep["u"], keep["v"], n)
     # roots are minimum member ids, so their ranks number the clusters in
     # order of first appearance
@@ -317,7 +316,7 @@ def verify_per_edge_guarantee(approx: SpanningTree, exact: SpanningTree,
     eta must be non-negative and finite."""
     if not 0 <= eta < math.inf:
         raise InputError(f"eta = {eta:g} must be non-negative and finite")
-    if approx.n_vertices != exact.n_vertices or len(approx.edges) != len(exact.edges):
+    if approx.n_vertices != exact.n_vertices or len(approx.records) != len(exact.records):
         raise InputError("trees must span the same point set")
     wa = approx.sorted_weights()
     we = exact.sorted_weights()

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from mpslc import hamming
-from mpslc.core import CapacityError, InputError, Metric, PointSet
+from mpslc.core import CapacityError, InputError, Metric, PointSet, spanning_forest
 from mpslc.hamming import hamming_mst
 from mpslc.hardness import GraphInstance, gen_hamming_points
-from mpslc.mpc import MpcConfig
+from mpslc.mpc import (
+    MpcConfig,
+    SpanningTree,
+    WeightedEdgeList,
+    connected_components,
+    distributed_sort,
+    edge_array,
+)
 from mpslc.oracle import exact_mst, kruskal_edges
 from mpslc.slc import k_slc_from_mst
 
@@ -306,6 +313,59 @@ def test_key_packing_boundaries(monkeypatch, n, d, values, wide):
     want = kruskal_edges(n, zip(want_u.tolist(), want_v.tolist(), want_w.tolist()))
     assert list(tree.edges) == want
     assert bool(dense_ids) == wide
+
+
+def _class_loop_reference(ps, cfg):
+    """`hamming_mst` with every class contracting all of its links: the
+    forest over every link, then `WeightedEdgeList.build`. Returns the
+    tree, the trace and the graph of each connectivity pass."""
+    ranks, sizes = hamming._validated_int_points(ps)
+    n, d = ranks.shape
+    popcount = np.array([bin(mask).count("1") for mask in range(1 << d)])
+    trace = distributed_sort(n, popcount, cfg)
+    labels = np.arange(n)
+    tree, graphs = [edge_array([], [], [])], []
+    for t in range(d + 1):
+        if not labels.any():
+            break
+        pairs = hamming._class_links(ranks, sizes, np.flatnonzero(popcount == d - t), labels)
+        if not len(pairs):
+            continue
+        eu, ev = np.divmod(pairs, n)
+        uniq, inv = np.unique(labels, return_inverse=True)
+        cu, cv = inv[eu], inv[ev]
+        taken, _labels, _phases = spanning_forest(cu, cv, len(uniq))
+        tree.append(edge_array(eu[taken], ev[taken], float(t)))
+        graphs.append(WeightedEdgeList.build(len(uniq), edge_array(cu, cv, 0.0)))
+        cc_labels, tr = connected_components(graphs[-1], cfg)
+        trace.add_trace(tr)
+        labels = uniq[cc_labels[inv]]
+    return SpanningTree(n, np.concatenate(tree)), trace, graphs
+
+
+@pytest.mark.parametrize("pts", [
+    # many links contract onto few components
+    pytest.param(np.random.default_rng(76).integers(0, 2, (3000, 6)), id="3000-binary-6"),
+    pytest.param(np.random.default_rng(77).integers(0, 3, (2000, 8)), id="2000-ternary-8"),
+    pytest.param(_columns(256, 11, [33] + [32] * 10), id="two-runs")])
+def test_class_contraction_matches_every_link_reference(monkeypatch, pts):
+    ps = int_ps(pts)
+    cfg = MpcConfig.auto(ps.n, ps.dim)
+    want_tree, want_trace, want_graphs = _class_loop_reference(ps, cfg)
+    graphs = []
+
+    def recorded(graph, cfg):
+        graphs.append(graph)
+        return connected_components(graph, cfg)
+
+    monkeypatch.setattr(hamming, "connected_components", recorded)
+    tree, trace = hamming_mst(ps, cfg)
+    assert tree.records.tobytes() == want_tree.records.tobytes()
+    assert trace.to_json_lines() == want_trace.to_json_lines()
+    assert len(graphs) == len(want_graphs) > 1
+    for got, want in zip(graphs, want_graphs):
+        assert got.n_vertices == want.n_vertices
+        assert got.edges.tobytes() == want.edges.tobytes()
 
 
 def test_wide_key_runs_stay_within_64_bits():

@@ -11,13 +11,15 @@ from mpslc.mpc import (
     boruvka_mst,
     connected_components,
     distributed_sort,
+    edge_records,
     round_bound,
     run_level,
     spread,
 )
-from mpslc.oracle import kruskal_edges
+from mpslc.oracle import exact_mst, kruskal_edges
+from mpslc.slc import k_slc_from_mst, verify_per_edge_guarantee
 
-from conftest import overlay_sorts
+from conftest import overlay_sorts, uniform_points
 
 
 def test_run_level_one_small_job():
@@ -159,15 +161,66 @@ def test_edge_list_rejects_nan_weights():
             WeightedEdgeList.build(2, raw)
 
 
+def _refusal(n, edges):
+    with pytest.raises(InputError) as err:
+        SpanningTree(n_vertices=n, edges=edges)
+    return str(err.value)
+
+
 def test_spanning_tree_rejects_cycles():
-    with pytest.raises(InputError, match=r"\(0,2\) closes a cycle"):
-        SpanningTree(n_vertices=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
+    edges = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
+    assert _refusal(3, edges) == "edge (0,2) closes a cycle"
+    assert _refusal(3, edge_records(edges)) == "edge (0,2) closes a cycle"
 
 
 @pytest.mark.parametrize("edge", [(0, 3, 1.0), (-1, 2, 1.0), (7, 9, 1.0)])
 def test_spanning_tree_rejects_endpoint_outside_vertex_range(edge):
-    with pytest.raises(InputError, match="vertex range"):
-        SpanningTree(n_vertices=3, edges=((0, 1, 1.0), edge))
+    edges = ((0, 1, 1.0), edge)
+    assert "vertex range" in _refusal(3, edges)
+    assert _refusal(3, edge_records(edges)) == _refusal(3, edges)
+
+
+def test_spanning_tree_stores_records_in_one_order():
+    rng = np.random.default_rng(12)
+    n = 40
+    parent = rng.integers(0, np.arange(1, n))
+    # few distinct weights, so (u, v) breaks ties
+    tuples = [(int(p), i, float(w)) for i, (p, w) in
+              enumerate(zip(parent, rng.integers(0, 3, n - 1)), start=1)]
+    array = edge_records(tuples)[rng.permutation(n - 1)]
+    swap = rng.random(n - 1) < 0.5
+    array["u"][swap], array["v"][swap] = array["v"][swap], array["u"][swap]
+    from_tuples, from_array = SpanningTree(n, tuples), SpanningTree(n, array)
+    assert from_array.records.tobytes() == from_tuples.records.tobytes()
+    assert from_array.edges == from_tuples.edges
+    records = from_array.records
+    assert np.all(records["u"] < records["v"])
+    assert np.array_equal(np.lexsort((records["v"], records["u"], records["w"])),
+                          np.arange(n - 1))
+    assert not records.flags.writeable
+    with pytest.raises(ValueError):
+        records["w"][0] = 9.0
+    assert from_array.edges == tuple(records.tolist())
+    assert from_array.n_components == 1
+    assert np.array_equal(from_array.sorted_weights(), np.sort(records["w"]))
+
+
+def test_tree_readers_agree_on_tuples_and_records():
+    ps = uniform_points(30, 2, seed=13)
+    exact = exact_mst(ps).edges
+    approx = edge_records(exact)
+    approx["w"] *= 1 + 0.3 * np.random.default_rng(14).random(len(approx))
+    approx = tuple(approx.tolist())
+    trees = {form: (SpanningTree(ps.n, form(exact)), SpanningTree(ps.n, form(approx)))
+             for form in (tuple, edge_records)}
+    reports = {form: verify_per_edge_guarantee(a, e, 0.2) for form, (e, a) in trees.items()}
+    assert reports[tuple].violations == reports[edge_records].violations != []
+    assert reports[tuple].max_ratio == reports[edge_records].max_ratio
+    for k in range(1, ps.n + 1):
+        by_tuples, by_records = (k_slc_from_mst(trees[form][1], k, ps)
+                                 for form in (tuple, edge_records))
+        assert by_tuples.objective == by_records.objective
+        assert np.array_equal(by_tuples.labels, by_records.labels)
 
 
 def test_boruvka_path_graph():

@@ -19,10 +19,15 @@ def repeated(cmd: list, runs: int, same: tuple) -> dict:
     field of TIMES the median over the runs and `maxrss_mb` the largest;
     with more than one run it also has `runs` and each time's minimum as
     `<name>_min_s`. Exits with an error when a field named in `same`
-    differs between runs."""
-    records = [json.loads(subprocess.run(cmd, check=True, capture_output=True,
-                                         text=True).stdout)
-               for _ in range(runs)]
+    differs between runs, and with a failed run's own error output and
+    exit code when a run fails."""
+    records = []
+    for _ in range(runs):
+        child = subprocess.run(cmd, capture_output=True, text=True)
+        if child.returncode:
+            sys.stderr.write(child.stderr)
+            sys.exit(child.returncode)
+        records.append(json.loads(child.stdout))
     first = records[0]
     for name in same:
         values = [r[name] for r in records]

@@ -70,7 +70,7 @@ def run_case(case: str, n: int) -> dict:
     from mpslc import oracle
     from mpslc.core import Metric, PointSet, Seed
     from mpslc.hamming import hamming_mst
-    from mpslc.mpc import MpcConfig, edge_records
+    from mpslc.mpc import MpcConfig
     from mpslc.slc import SlcParams, approximate_mst
 
     dim = hamming_dim(case)
@@ -94,7 +94,7 @@ def run_case(case: str, n: int) -> dict:
               "wall_s": round(wall, 3),
               "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
               "rounds": trace.rounds,
-              "tree": hashlib.sha256(edge_records(tree.edges).tobytes()).hexdigest()[:16]}
+              "tree": hashlib.sha256(tree.records.tobytes()).hexdigest()[:16]}
     if dim is not None:
         record["oracle_s"] = None
         if n <= oracle.DENSE_CAP:
